@@ -119,7 +119,7 @@ fn main() {
             ("line-qaoa", line_qaoa(n, 3)),
             ("banded-qft", banded_qft(n, 2)),
         ] {
-            let est = estimate_mps_cost(&circuit, max_bond);
+            let est = estimate_mps_cost(&circuit, &vec![1; n + 1], max_bond);
             let mut peak = 0usize;
             let mut trunc = 0.0f64;
             let t = time_median(if n <= 24 { 3 } else { 2 }, || {

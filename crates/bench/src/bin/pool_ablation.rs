@@ -229,11 +229,13 @@ fn main() {
         let circuit = butterfly_circuit(n);
         let entries = (n as f64) * (1u64 << n) as f64;
         let mut t_serial = 0.0;
-        for threads in [1usize, 2, 4] {
+        for requested in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
+                .num_threads(requested)
                 .build()
                 .unwrap();
+            // The budget is capped at the pool size: record what ran.
+            let threads = pool.current_num_threads();
             let t = pool.install(|| e2e_seconds(reps.min(3), &circuit, false));
             if threads == 1 {
                 t_serial = t;

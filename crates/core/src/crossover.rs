@@ -396,15 +396,26 @@ impl CostModel {
     /// Compressed (MPS) execution of a circuit whose predicted
     /// contraction work is `units`
     /// ([`estimate_mps_cost`](qcemu_sim::estimate_mps_cost), only
-    /// meaningful when the estimate is `exact`): the χ-law contraction
-    /// term plus the dense↔MPS boundary — the plan interpreter densifies
-    /// the incoming state into site tensors and back, two full-state
-    /// passes at the sweep rate. The boundary term is what keeps MPS
-    /// honest per-op: a shallow circuit never wins just because its χ is
-    /// small, only a *deep* low-entanglement circuit amortises the
-    /// conversion.
-    pub fn t_gates_mps(&self, units: f64, n_state: usize) -> f64 {
-        units / self.mps_rate + 2.0 * (2f64).powi(n_state as i32) / self.entry_rate
+    /// meaningful when the estimate is `exact`) on a state whose per-cut
+    /// bond bound is `incoming` (`n_state + 1` entries): the χ-law
+    /// contraction term plus the dense↔MPS boundary. The boundary is two
+    /// full-state passes for a product input — the `from_statevector`
+    /// import and the export back — and the import grows with the
+    /// entanglement the state already carries: its site-`j` split works
+    /// on a (2χⱼ × 2^(n−j−1)) matrix at O(χⱼ²) per column, so each cut
+    /// adds (χⱼ² − 1)·2^(n−1−j) entries over the product pass. The
+    /// boundary term is what keeps MPS honest per-op: a shallow circuit
+    /// never wins just because its χ is small, only a *deep*
+    /// low-entanglement circuit amortises the conversion, and an
+    /// entangled input must also amortise its costlier import.
+    pub fn t_gates_mps(&self, units: f64, incoming: &[usize]) -> f64 {
+        let n = incoming.len().saturating_sub(1);
+        let entangled_import: f64 = incoming[..n]
+            .iter()
+            .enumerate()
+            .map(|(j, &chi)| ((chi * chi) as f64 - 1.0) * (2f64).powi((n - 1 - j) as i32))
+            .sum();
+        units / self.mps_rate + (2.0 * (2f64).powi(n as i32) + entangled_import) / self.entry_rate
     }
 
     /// QPE primitive timings for a `g`-gate unitary on an `m_bits` target
@@ -609,7 +620,9 @@ mod calibrate {
                 chain.cnot(q, q + 1);
             }
         }
-        let mps_units = estimate_mps_cost(&chain, 16).units.max(1.0);
+        let mps_units = estimate_mps_cost(&chain, &vec![1; chain_n + 1], 16)
+            .units
+            .max(1.0);
         let t_mps = time(3, || {
             let mut mps = MpsState::zero_state(chain_n, 16);
             mps.run(&chain);
@@ -948,10 +961,23 @@ mod tests {
         let depth = 400;
         let units = depth as f64 * 1.0e4; // ~χ³-scale work per 2q gate, χ ≤ 16
         let dense = m.t_gates(depth * (1usize << n), depth);
-        assert!(m.t_gates_mps(units, n) < dense, "deep chain must pick MPS");
+        let product = vec![1; n + 1];
+        assert!(
+            m.t_gates_mps(units, &product) < dense,
+            "deep chain must pick MPS"
+        );
         // A shallow circuit never amortises the densify boundary: two
         // full-state passes already exceed one dense sweep.
-        assert!(m.t_gates_mps(1.0, n) > m.t_gates(1usize << n, 1));
+        assert!(m.t_gates_mps(1.0, &product) > m.t_gates(1usize << n, 1));
+        // A product input pays two passes; an entangled import scales
+        // with χ², so a χ ≤ 16 input costs over ten product passes.
+        let boundary = |p: &[usize]| m.t_gates_mps(0.0, p) * m.entry_rate;
+        let pass = (1u64 << n) as f64;
+        assert!((boundary(&product) / (2.0 * pass) - 1.0).abs() < 1e-12);
+        let entangled: Vec<usize> = (0..=n)
+            .map(|j| qcemu_sim::max_schmidt_rank(n, j).min(16))
+            .collect();
+        assert!(boundary(&entangled) > 10.0 * pass);
     }
 
     #[test]

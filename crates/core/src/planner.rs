@@ -25,15 +25,15 @@
 use crate::classical::{apply_classical_map, apply_phase_oracle};
 use crate::crossover::CostModel;
 use crate::error::EmuError;
-use crate::program::{HighLevelOp, QuantumProgram, RotationOp};
+use crate::program::{HighLevelOp, ProgramRegister, QuantumProgram, RegisterId, RotationOp};
 use crate::qpe::{apply_qpe, QpeStrategy};
 use qcemu_fft::{inverse_qft_subspace, qft_subspace};
 use qcemu_linalg::C64;
 use qcemu_sim::circuits::qft::{inverse_qft_circuit, qft_circuit};
 use qcemu_sim::{
-    estimate_mps_cost, segment_circuit, Circuit, FusedCircuit, FusionPolicy, Gate, GateOp,
-    MpsPolicy, MpsState, SegmentPolicy, SimConfig, StateVector, DEFAULT_MAX_FUSED_QUBITS,
-    MPS_EXACT_TOL,
+    estimate_mps_cost, max_schmidt_rank, saturate_bonds, segment_circuit, Circuit, FusedCircuit,
+    FusionPolicy, Gate, GateOp, MpsPolicy, MpsState, SegmentPolicy, SimConfig, StateVector,
+    DEFAULT_MAX_FUSED_QUBITS, MPS_EXACT_TOL,
 };
 use std::fmt;
 use std::time::Instant;
@@ -346,8 +346,11 @@ struct SimCosts {
     segmented: Option<f64>,
     /// `(max_bond, cost)` of the compressed candidate — present only when
     /// the entanglement-growth estimate certifies the circuit runs
-    /// *exactly* under that cap ([`estimate_mps_cost`]).
+    /// *exactly* under that cap from the state it receives
+    /// ([`estimate_mps_cost`]).
     mps: Option<(usize, f64)>,
+    /// Outgoing bond bound of that estimate's walk, when one was run.
+    bonds_out: Option<Vec<usize>>,
     n_ancilla: usize,
     circuit: Option<Circuit>,
     fused_circuit: Option<FusedCircuit>,
@@ -360,6 +363,7 @@ impl SimCosts {
             fused,
             segmented,
             mps: None,
+            bonds_out: None,
             n_ancilla: 0,
             circuit: None,
             fused_circuit: None,
@@ -410,7 +414,9 @@ fn plan_window(config: &SimConfig) -> usize {
 /// an O(G) count, but the fused one actually runs the fusion engine
 /// (matrix compose + classify per block) — a plan that can never pick a
 /// fused candidate must not pay for it. `want_mps` carries the bond cap
-/// to price the compressed candidate under, or `None` to skip it.
+/// to price the compressed candidate under and the bond bound of the
+/// state the circuit receives (`n_state + 1` entries), or `None` to skip
+/// it.
 fn circuit_costs(
     model: &CostModel,
     c: &Circuit,
@@ -419,7 +425,7 @@ fn circuit_costs(
     want_unfused: bool,
     want_fused: bool,
     want_segmented: bool,
-    want_mps: Option<usize>,
+    want_mps: Option<(usize, &[usize])>,
 ) -> SimCosts {
     let unfused = want_unfused.then(|| model.t_gates(c.touched_entries(n_state), c.gate_count()));
     let (fused, fused_circuit) = if want_fused {
@@ -447,20 +453,27 @@ fn circuit_costs(
         )
     });
     // The compressed candidate only exists when the χ-growth estimate
-    // certifies the whole run fits under the cap: an inexact estimate
+    // certifies the whole run — import included — fits under the cap
+    // from the state the circuit actually receives: an inexact estimate
     // means execution *would* truncate, and the interpreter would fall
     // back to a dense re-run anyway — pricing that as "cheap" would bias
     // the planner toward a path it can never take.
-    let mps = want_mps.and_then(|max_bond| {
-        let est = estimate_mps_cost(c, max_bond);
-        est.exact
-            .then(|| (max_bond, model.t_gates_mps(est.units, n_state)))
-    });
+    let (mps, bonds_out) = match want_mps {
+        Some((max_bond, incoming)) => {
+            let est = estimate_mps_cost(c, incoming, max_bond);
+            let cost = est
+                .exact
+                .then(|| (max_bond, model.t_gates_mps(est.units, incoming)));
+            (cost, Some(est.bonds_out))
+        }
+        None => (None, None),
+    };
     SimCosts {
         unfused,
         fused,
         segmented,
         mps,
+        bonds_out,
         n_ancilla: 0,
         circuit: None,
         fused_circuit,
@@ -480,10 +493,16 @@ fn gate_impl_sim_costs(
     want_unfused: bool,
     want_fused: bool,
     want_segmented: bool,
-    want_mps: Option<usize>,
+    want_mps: Option<(usize, &[usize])>,
 ) -> SimCosts {
     let c = (gi.build)(program);
     let n_sim = program.n_qubits() + n_anc_plan.max(gi.n_ancilla);
+    // Head-room beyond the plan's is fresh |0⟩ ancillas: product cuts.
+    let incoming = want_mps.map(|(max_bond, bonds)| {
+        let mut padded = bonds.to_vec();
+        padded.resize(n_sim + 1, 1);
+        (max_bond, padded)
+    });
     let costs = circuit_costs(
         model,
         &c,
@@ -492,7 +511,9 @@ fn gate_impl_sim_costs(
         want_unfused,
         want_fused,
         want_segmented,
-        want_mps,
+        incoming
+            .as_ref()
+            .map(|(max_bond, bonds)| (*max_bond, &bonds[..])),
     );
     SimCosts {
         n_ancilla: gi.n_ancilla,
@@ -564,7 +585,7 @@ fn sim_costs(
     want_unfused: bool,
     want_fused: bool,
     want_segmented: bool,
-    want_mps: Option<usize>,
+    want_mps: Option<(usize, &[usize])>,
 ) -> Option<SimCosts> {
     let n = program.n_qubits();
     let n_state = n + n_anc_plan;
@@ -707,6 +728,9 @@ pub fn plan_emulated(
 ) -> ExecutionPlan {
     let n = program.n_qubits();
     let window = plan_window(config);
+    // Fixed plans certify a forced compressed step from |0…0⟩; one that
+    // meets an entangled state is caught by the interpreter's audit.
+    let product = vec![1; n + 1];
     let steps = program
         .ops()
         .iter()
@@ -725,7 +749,7 @@ pub fn plan_emulated(
                         !fused && !seg && mps.is_none(),
                         fused,
                         seg,
-                        mps,
+                        mps.map(|cap| (cap, &product[..])),
                     )
                     .expect("raw gates always have a gate path");
                     let cost = costs.for_backend(backend);
@@ -776,6 +800,7 @@ pub fn plan_simulated(
     let backend = sim_backend(config);
     let (fused, seg, mps) = backend_wants(backend);
     let window = plan_window(config);
+    let product = vec![1; program.n_qubits() + n_anc_all + 1];
     let steps = program
         .ops()
         .iter()
@@ -790,7 +815,7 @@ pub fn plan_simulated(
                 !fused && !seg && mps.is_none(),
                 fused,
                 seg,
-                mps,
+                mps.map(|cap| (cap, &product[..])),
             );
             let (cost, n_ancilla, circuit, fused_circuit) = match costs {
                 Some(c) => (
@@ -854,11 +879,18 @@ pub fn plan_hybrid(
     }
     let mut plan = plan_hybrid_once(program, model, config, n_anc);
     if plan.n_ancilla != n_anc {
-        let window = plan_window(config);
+        let mut bonds = vec![1; program.n_qubits() + plan.n_ancilla + 1];
         for step in &mut plan.steps {
             let op = &program.ops()[step.op_index];
-            step.predicted_s =
-                recost_step(model, program, op, step.backend, window, plan.n_ancilla);
+            step.predicted_s = recost_step(
+                model,
+                program,
+                op,
+                step.backend,
+                config,
+                plan.n_ancilla,
+                &mut bonds,
+            );
         }
     }
     plan
@@ -866,60 +898,103 @@ pub fn plan_hybrid(
 
 /// Predicted cost of `op` on an already-chosen backend at execution
 /// head-room `n_anc_exec` (the unconverged-fixed-point repair path of
-/// [`plan_hybrid`]).
+/// [`plan_hybrid`]). `bonds` is the bond bound of the state the op
+/// receives, advanced past the op on return (see [`advance_bonds`]).
 fn recost_step(
     model: &CostModel,
     program: &QuantumProgram,
     op: &HighLevelOp,
     backend: Backend,
-    window: usize,
+    config: &SimConfig,
     n_anc_exec: usize,
+    bonds: &mut [usize],
 ) -> f64 {
     let n_state = program.n_qubits() + n_anc_exec;
-    match backend {
+    let max_bond = match backend {
+        Backend::SimulateMps { max_bond } => Some(max_bond),
+        _ => config.mps.max_bond(),
+    };
+    let sim = sim_costs(
+        model,
+        program,
+        op,
+        plan_window(config),
+        n_anc_exec,
+        backend == Backend::SimulateGateLevel,
+        backend == Backend::SimulateFused,
+        matches!(backend, Backend::SimulateSegmented { .. }),
+        max_bond.map(|cap| (cap, &bonds[..])),
+    );
+    let cost = match backend {
         Backend::EmulateClassical | Backend::EmulateFft => {
-            emulate_candidate(model, program, op, n_state)
-                .map(|(_, c)| c)
-                .unwrap_or(f64::INFINITY)
+            emulate_candidate(model, program, op, n_state).map(|(_, c)| c)
         }
         Backend::EmulateQpe { strategy } => match op {
-            HighLevelOp::Qpe(qpe) => model.t_qpe(
+            HighLevelOp::Qpe(qpe) => Some(model.t_qpe(
                 n_state,
                 program.register(qpe.target).len,
                 qpe.unitary.gate_count().max(1),
                 program.register(qpe.phase).len,
                 strategy,
-            ),
-            _ => f64::INFINITY,
+            )),
+            _ => None,
         },
-        Backend::SimulateFused => sim_costs(
-            model, program, op, window, n_anc_exec, false, true, false, None,
-        )
-        .and_then(|c| c.fused)
-        .unwrap_or(f64::INFINITY),
-        Backend::SimulateSegmented { .. } => sim_costs(
-            model, program, op, window, n_anc_exec, false, false, true, None,
-        )
-        .and_then(|c| c.segmented)
-        .unwrap_or(f64::INFINITY),
-        Backend::SimulateMps { max_bond } => sim_costs(
-            model,
-            program,
-            op,
-            window,
-            n_anc_exec,
-            false,
-            false,
-            false,
-            Some(max_bond),
-        )
-        .and_then(|c| c.for_backend(backend))
-        .unwrap_or(f64::INFINITY),
-        Backend::SimulateGateLevel => sim_costs(
-            model, program, op, window, n_anc_exec, true, false, false, None,
-        )
-        .and_then(|c| c.unfused)
-        .unwrap_or(f64::INFINITY),
+        _ => sim.as_ref().and_then(|c| c.for_backend(backend)),
+    };
+    advance_bonds(
+        program,
+        op,
+        bonds,
+        sim.as_ref().and_then(|c| c.bonds_out.as_deref()),
+    );
+    cost.unwrap_or(f64::INFINITY)
+}
+
+/// Advances the bond bound `bonds` (one entry per cut of the plan's
+/// `n + n_anc`-qubit state) past `op`. An op whose gate-level circuit
+/// was walked takes that walk's outgoing bound — valid whichever backend
+/// runs the op, since every backend produces the same state. Any other
+/// op is an arbitrary unitary on the qubits it touches and saturates
+/// every cut inside their span. Between ops the ancilla head-room is
+/// |0…0⟩ again, so the cuts at and above the program width are product
+/// and the rest are capped by the program's own physical bound.
+fn advance_bonds(
+    program: &QuantumProgram,
+    op: &HighLevelOp,
+    bonds: &mut [usize],
+    walked: Option<&[usize]>,
+) {
+    let n = program.n_qubits();
+    match walked {
+        Some(out) => {
+            let len = bonds.len();
+            bonds.copy_from_slice(&out[..len]);
+        }
+        None => {
+            let reg = |r: &RegisterId| program.register(*r);
+            let regs: Vec<&ProgramRegister> = match op {
+                // Only reached when MPS planning is off: no walk was run.
+                HighLevelOp::Gates(_) => program.registers().iter().collect(),
+                HighLevelOp::Classical(cm) => cm.regs.iter().map(reg).collect(),
+                HighLevelOp::Phase(po) => po.regs.iter().map(reg).collect(),
+                HighLevelOp::Rotation(ro) => vec![reg(&ro.x), reg(&ro.target)],
+                HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r) => vec![reg(r)],
+                HighLevelOp::Qpe(qpe) => vec![reg(&qpe.target), reg(&qpe.phase)],
+            };
+            let span = regs.iter().fold((usize::MAX, 0), |(lo, hi), r| {
+                (lo.min(r.offset), hi.max(r.offset + r.len - 1))
+            });
+            if span.0 <= span.1 {
+                saturate_bonds(bonds, span.0, span.1);
+            }
+        }
+    }
+    for (j, b) in bonds.iter_mut().enumerate() {
+        *b = if j >= n {
+            1
+        } else {
+            (*b).min(max_schmidt_rank(n, j))
+        };
     }
 }
 
@@ -929,20 +1004,24 @@ fn plan_hybrid_once(
     config: &SimConfig,
     n_anc_plan: usize,
 ) -> ExecutionPlan {
+    let n_state = program.n_qubits() + n_anc_plan;
+    let window = plan_window(config);
+    // Bond bound of the state each op receives: |0…0⟩ before op 0, then
+    // carried through the ops in program order.
+    let mut bonds = vec![1; n_state + 1];
     let steps = program
         .ops()
         .iter()
         .enumerate()
         .map(|(i, op)| {
-            let n_state = program.n_qubits() + n_anc_plan;
-            let window = plan_window(config);
             let mut candidates: Vec<(Backend, f64, usize)> = Vec::with_capacity(5);
             if let Some((backend, cost)) = emulate_candidate(model, program, op, n_state) {
                 candidates.push((backend, cost, 0));
             }
             // A compressed candidate is priced under the config's policy
             // cap (`Auto` by default) — `circuit_costs` only surfaces it
-            // when the χ-growth estimate certifies an exact run.
+            // when the χ-growth estimate certifies an exact run from the
+            // state this op receives.
             let sim = sim_costs(
                 model,
                 program,
@@ -952,7 +1031,13 @@ fn plan_hybrid_once(
                 true,
                 true,
                 true,
-                config.mps.max_bond(),
+                config.mps.max_bond().map(|cap| (cap, &bonds[..])),
+            );
+            advance_bonds(
+                program,
+                op,
+                &mut bonds,
+                sim.as_ref().and_then(|c| c.bonds_out.as_deref()),
             );
             if let Some(costs) = &sim {
                 if let Some(cost) = costs.fused {
@@ -1117,16 +1202,21 @@ impl PlanInterpreter {
 
     /// Attempts compressed execution of a [`Backend::SimulateMps`] step.
     /// Returns `false` (leaving `state` untouched) when the step is not
-    /// an MPS step *or* when the run truncated: the planner only routes
-    /// here when the χ-growth estimate certified an exact run, so a
-    /// non-zero truncation error means the estimate was wrong for this
-    /// incoming state — the caller then re-runs dense. A misprediction
-    /// costs the wasted compressed attempt, never correctness.
+    /// an MPS step *or* when the import or the run truncated: the planner
+    /// only routes here when the χ-growth estimate certified an exact
+    /// run, so a non-zero truncation error means the estimate was wrong
+    /// for this incoming state — the caller then re-runs dense. An import
+    /// that already truncates is rejected before the circuit runs, so a
+    /// misprediction costs at most the wasted compressed attempt, never
+    /// correctness.
     fn try_mps(&self, state: &mut StateVector, c: &Circuit, backend: Backend) -> bool {
         let Backend::SimulateMps { max_bond } = backend else {
             return false;
         };
         let mut mps = MpsState::from_statevector(state, max_bond);
+        if mps.truncation_error() > MPS_EXACT_TOL {
+            return false;
+        }
         mps.run(&self.lower(c));
         if mps.truncation_error() > MPS_EXACT_TOL {
             return false;
@@ -1461,9 +1551,9 @@ mod tests {
     /// many single-qubit layers. Dense backends pay Θ(depth·2ⁿ); the
     /// compressed backend pays O(depth·χ³) plus one 2ⁿ boundary
     /// densification, so at this depth it must win the hybrid auction.
-    fn low_entanglement_program(n: usize, layers: usize) -> QuantumProgram {
-        let mut pb = ProgramBuilder::new();
-        let _r = pb.register("r", n);
+    /// A deep χ = 2 gate run on every qubit: a GHZ-style CNOT chain
+    /// followed by `layers` single-qubit rotation layers.
+    fn push_low_entanglement_chain(pb: &mut ProgramBuilder, n: usize, layers: usize) {
         pb.gates(move |c| {
             c.h(0);
             for q in 0..n - 1 {
@@ -1479,7 +1569,31 @@ mod tests {
                 }
             }
         });
+    }
+
+    fn low_entanglement_program(n: usize, layers: usize) -> QuantumProgram {
+        let mut pb = ProgramBuilder::new();
+        let _r = pb.register("r", n);
+        push_low_entanglement_chain(&mut pb, n, layers);
         pb.build().unwrap()
+    }
+
+    /// Executes `plan` and the emulated plan of `prog` from |0…0⟩ and
+    /// returns the hybrid report after checking the states agree.
+    fn assert_executes_like_emulator(prog: &QuantumProgram, plan: &ExecutionPlan) -> PlanReport {
+        let initial = StateVector::zero_state(prog.n_qubits());
+        let emu_plan = plan_emulated(prog, &model(), &SimConfig::unfused(), |_, _| {
+            QpeStrategy::RepeatedSquaring
+        });
+        let interp = PlanInterpreter::default();
+        let (emu, _) = interp.execute(prog, &emu_plan, initial.clone()).unwrap();
+        let (got, report) = interp.execute(prog, plan, initial).unwrap();
+        let diff = emu.max_diff_up_to_phase(&got);
+        assert!(
+            diff <= 1e-10,
+            "plan deviates from the emulator by {diff:.3e}"
+        );
+        report
     }
 
     #[test]
@@ -1522,6 +1636,92 @@ mod tests {
             .execute(&prog, &reference_plan, initial)
             .unwrap();
         assert!(mps_state.max_diff_up_to_phase(&dense_state) < 1e-10);
+    }
+
+    #[test]
+    fn deep_chain_as_op_zero_keeps_its_product_state_price() {
+        // Op 0 receives |0…0⟩: the carried bound is the product profile,
+        // so routing and cost are those of a standalone product-state
+        // certificate — two boundary passes plus the χ-law work.
+        let n = 14;
+        let prog = low_entanglement_program(n, 80);
+        let m = model();
+        let plan = plan_hybrid(&prog, &m, &SimConfig::fused(4));
+        assert_eq!(
+            plan.steps()[0].backend,
+            Backend::SimulateMps {
+                max_bond: qcemu_sim::DEFAULT_MAX_BOND
+            }
+        );
+        let HighLevelOp::Gates(chain) = &prog.ops()[0] else {
+            panic!("op 0 is the gate run");
+        };
+        let est = estimate_mps_cost(chain, &vec![1; n + 1], qcemu_sim::DEFAULT_MAX_BOND);
+        let want = est.units / m.mps_rate + 2.0 * (1u64 << n) as f64 / m.entry_rate;
+        let got = plan.steps()[0].predicted_s;
+        assert!((got / want - 1.0).abs() < 1e-12, "cost {got} != {want}");
+    }
+
+    #[test]
+    fn product_preserving_prefix_keeps_the_chain_on_mps() {
+        let n = 14;
+        let mut pb = ProgramBuilder::new();
+        let r = pb.register("r", n);
+        pb.hadamard_all(r);
+        push_low_entanglement_chain(&mut pb, n, 80);
+        let prog = pb.build().unwrap();
+        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        assert!(
+            matches!(plan.steps()[1].backend, Backend::SimulateMps { .. }),
+            "a Hadamard layer leaves a product state; got {}",
+            plan.steps()[1].backend
+        );
+        let report = assert_executes_like_emulator(&prog, &plan);
+        assert!(matches!(
+            report.steps[1].backend,
+            Backend::SimulateMps { .. }
+        ));
+    }
+
+    #[test]
+    fn entangling_op_withholds_mps_from_the_ops_after_it() {
+        // Shor-shaped: superposed x, constant y, z = x·y, a chain run on
+        // every qubit and an oracle on z. Priced from a product input the
+        // chain certifies at χ ≤ 8 and wins; from the state the multiply
+        // actually leaves (χ up to 2^5 across the middle cuts) it would
+        // truncate under χ ≤ 64, and the oracle then receives a state
+        // whose import alone would.
+        let m = 5;
+        let n = 3 * m;
+        let mut pb = ProgramBuilder::new();
+        let x = pb.register("x", m);
+        let y = pb.register("y", m);
+        let z = pb.register("z", m);
+        pb.hadamard_all(x);
+        pb.set_constant(y, 11);
+        pb.classical(stdops::multiply(x, y, z, m));
+        pb.gates(move |c| {
+            for round in 0..3 {
+                for q in 0..n - 1 {
+                    c.push(Gate::h(q));
+                    c.push(Gate::cnot(q, q + 1));
+                    c.push(Gate::phase(q + 1, 0.3 + 0.11 * round as f64));
+                }
+            }
+        });
+        pb.phase_oracle(stdops::mark_value(z, 7, std::f64::consts::PI));
+        let prog = pb.build().unwrap();
+
+        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        for step in &plan.steps()[3..] {
+            assert!(
+                !matches!(step.backend, Backend::SimulateMps { .. }),
+                "{} after the multiply was routed to {}",
+                step.op,
+                step.backend
+            );
+        }
+        assert_executes_like_emulator(&prog, &plan);
     }
 
     #[test]
@@ -1573,6 +1773,31 @@ mod tests {
         let mut reference = initial;
         reference.run(&qft_circuit(n), &SimConfig::unfused());
         assert!(state.max_diff_up_to_phase(&reference) < 1e-10);
+    }
+
+    #[test]
+    fn forced_mps_on_an_entangled_input_falls_back_before_running() {
+        // Two Bell pairs across the middle cut give the input χ = 4 there,
+        // so a χ = 2 import already truncates: the step must go dense
+        // (without attempting the circuit) and stay exact.
+        let n = 6;
+        let mut pb = ProgramBuilder::new();
+        let _r = pb.register("r", n);
+        pb.gates(|c| c.push(Gate::ry(4, 0.3)));
+        let prog = pb.build().unwrap();
+        let plan = plan_simulated(&prog, &model(), &SimConfig::mps(2));
+        let mut initial = StateVector::zero_state(n);
+        for (a, b) in [(1, 4), (2, 3)] {
+            initial.apply(&Gate::h(a));
+            initial.apply(&Gate::cnot(a, b));
+        }
+        assert!(MpsState::from_statevector(&initial, 2).truncation_error() > MPS_EXACT_TOL);
+        let (state, _) = PlanInterpreter::default()
+            .execute(&prog, &plan, initial.clone())
+            .unwrap();
+        let mut reference = initial;
+        reference.apply(&Gate::ry(4, 0.3));
+        assert!(state.max_diff_up_to_phase(&reference) < 1e-12);
     }
 
     #[test]

@@ -530,7 +530,8 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Sets the thread count the built pool reports.
+    /// Requests a thread count; the built pool reports it capped at the
+    /// process-wide pool size (see [`ThreadPool`]).
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = Some(n);
         self
@@ -538,8 +539,9 @@ impl ThreadPoolBuilder {
 
     /// Builds the pool (infallible in the shim).
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let requested = self.num_threads.unwrap_or_else(current_num_threads);
         Ok(ThreadPool {
-            num_threads: self.num_threads.unwrap_or_else(current_num_threads).max(1),
+            num_threads: requested.min(pool::default_threads()).max(1),
         })
     }
 }
@@ -549,6 +551,12 @@ impl ThreadPoolBuilder {
 /// pool's size inside the closure, which caps how many workers of the
 /// process-wide pool a parallel call may enlist — so size-gated
 /// parallel/serial code paths behave as they would under real rayon.
+///
+/// The size is the requested count capped at the process-wide pool
+/// ([`pool::default_threads`]): a dispatch can never enlist more
+/// participants than the pool has, so `install(k)` reports the budget
+/// it can actually deliver, `min(k, pool size)`, and nested parallel
+/// calls divide that.
 pub struct ThreadPool {
     num_threads: usize,
 }
@@ -668,6 +676,14 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert_eq!(current_num_threads(), before);
+    }
+
+    #[test]
+    fn install_budget_is_capped_at_the_pool_size() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let want = 4.min(pool::default_threads());
+        assert_eq!(pool.current_num_threads(), want);
+        assert_eq!(pool.install(current_num_threads), want);
     }
 
     #[test]

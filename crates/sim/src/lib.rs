@@ -69,7 +69,8 @@ pub use kernels::{
     fused_touched_entries, scatter_index, touched_entries, MAX_FUSED_QUBITS, PAR_THRESHOLD,
 };
 pub use mps::{
-    estimate_mps_cost, MpsCostEstimate, MpsPolicy, MpsState, DEFAULT_MAX_BOND, MPS_EXACT_TOL,
+    estimate_mps_cost, max_schmidt_rank, saturate_bonds, MpsCostEstimate, MpsPolicy, MpsState,
+    DEFAULT_MAX_BOND, MPS_EXACT_TOL,
 };
 
 pub use measure::{

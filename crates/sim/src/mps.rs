@@ -24,8 +24,13 @@
 //! `GHZ`, line-QAOA, and banded-QFT circuits hold χ ∈ O(1)…O(poly) and
 //! run at n = 40+ in milliseconds where a dense state vector would need
 //! 16 TiB. The planner prices this χ-law via [`estimate_mps_cost`] and
-//! routes low-entanglement ops here (`Backend::SimulateMps`), falling
-//! back to dense when the predicted χ blows past `max_bond`.
+//! routes low-entanglement ops here (`Backend::SimulateMps`). The
+//! estimate starts from an upper bound on the *incoming* state's bond
+//! profile — the densify boundary between ops keeps whatever
+//! entanglement earlier ops created — and returns the outgoing bound, so
+//! the planner carries it through the program and offers this backend
+//! only when the walk from the state the op will actually receive stays
+//! under `max_bond`.
 
 use crate::circuit::Circuit;
 use crate::decompose::decompose_gate;
@@ -208,12 +213,14 @@ impl MpsState {
         }
     }
 
-    /// Runs a whole circuit.
+    /// Runs a whole circuit. A circuit narrower than the state leaves
+    /// the sites above its width untouched (ancilla head-room).
     pub fn run(&mut self, circuit: &Circuit) {
-        assert_eq!(
+        assert!(
+            circuit.n_qubits() <= self.n,
+            "circuit needs {} qubits, MPS has {}",
             circuit.n_qubits(),
-            self.n,
-            "circuit width does not match MPS"
+            self.n
         );
         for g in circuit.gates() {
             self.apply_gate(g);
@@ -707,131 +714,154 @@ impl MpsPolicy {
     }
 }
 
-/// Structural entanglement-growth estimate for running `circuit` from a
-/// product state under bond cap `max_bond`.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Structural entanglement-growth estimate for running a circuit on an
+/// incoming state whose per-cut Schmidt ranks are bounded by a given
+/// profile, under bond cap `max_bond`.
+#[derive(Clone, Debug, PartialEq)]
 pub struct MpsCostEstimate {
     /// χ-law work units (≈ flops): Σ over two-site applies of
     /// `(2χ_l)(2χ_r)·min(2χ_l, 2χ_r)` + contraction terms, plus O(χ²)
-    /// per single-site gate. Divide by `CostModel::mps_rate` for seconds.
+    /// per single-site gate, charged at χ capped by `max_bond`. Divide
+    /// by `CostModel::mps_rate` for seconds.
     pub units: f64,
-    /// Peak bond dimension reached (after capping).
+    /// Peak bond dimension reached (after capping), the incoming
+    /// profile included.
     pub chi_peak: usize,
-    /// `false` when some update would have exceeded `max_bond`, i.e. the
-    /// run would truncate and results are no longer exact.
+    /// `false` when the incoming profile or some update exceeds
+    /// `max_bond`, i.e. the import or the run would truncate and results
+    /// are no longer exact.
     pub exact: bool,
     /// Number of two-site applications, SWAP routing included.
     pub two_site_applies: usize,
+    /// Upper bound on the outgoing state's Schmidt rank across every cut
+    /// (`n + 1` entries, same convention as [`MpsState::bond_dims`]),
+    /// capped only by the physical bound [`max_schmidt_rank`] — never by
+    /// `max_bond` — so it holds whichever backend actually runs the
+    /// circuit and can seed the estimate of the next one.
+    pub bonds_out: Vec<usize>,
 }
 
-/// Walks the circuit tracking a per-bond χ upper bound: each two-site
-/// gate multiplies the crossed bond by its operator Schmidt rank, clamped
-/// by the neighbouring bonds, the 2^k physical cap, and `max_bond`.
-/// Assumes a product-state input (the interpreter's densify boundary
-/// re-establishes this; an entangled import is caught at run time by the
-/// truncation-error audit instead).
-pub fn estimate_mps_cost(circuit: &Circuit, max_bond: usize) -> MpsCostEstimate {
-    let n = circuit.n_qubits();
-    let mut bonds = vec![1usize; n + 1];
+/// The largest Schmidt rank any `n_sites`-qubit state can have across
+/// cut `cut` (between qubits `cut − 1` and `cut`): `2^min(cut, n − cut)`.
+pub fn max_schmidt_rank(n_sites: usize, cut: usize) -> usize {
+    1usize << cut.min(n_sites - cut).min(60)
+}
+
+/// Raises every cut strictly inside qubits `lo..=hi` of a bond profile to
+/// the physical cap — the bound after an arbitrary unitary on that span,
+/// which cannot change the Schmidt rank of any cut outside it.
+pub fn saturate_bonds(bonds: &mut [usize], lo: usize, hi: usize) {
+    let n = bonds.len() - 1;
+    for (j, b) in bonds.iter_mut().enumerate().take(hi + 1).skip(lo + 1) {
+        *b = max_schmidt_rank(n, j);
+    }
+}
+
+/// Walks the circuit tracking a per-cut Schmidt-rank upper bound,
+/// starting from `incoming` (`n + 1` entries for the `n`-site state the
+/// circuit runs on; `vec![1; n + 1]` is a product state). A two-qubit
+/// gate multiplies every cut it crosses by its operator Schmidt rank,
+/// capped by the physical bound; the crossed cuts are then tightened by
+/// the neighbour relation `χ_j ≤ 2·χ_{j±1}`, which every state obeys. An
+/// entangled input is priced and certified like any other: the bound is
+/// only as good as `incoming`, and the interpreter's truncation audit
+/// still catches a wrong one at run time.
+pub fn estimate_mps_cost(
+    circuit: &Circuit,
+    incoming: &[usize],
+    max_bond: usize,
+) -> MpsCostEstimate {
+    assert!(!incoming.is_empty(), "a bond profile has n + 1 entries");
+    let n = incoming.len() - 1;
+    assert!(
+        circuit.n_qubits() <= n,
+        "circuit needs {} qubits, profile has {n} sites",
+        circuit.n_qubits()
+    );
     let mut est = MpsCostEstimate {
         units: 0.0,
-        chi_peak: 1,
-        exact: true,
+        chi_peak: incoming.iter().map(|&b| b.min(max_bond)).max().unwrap_or(1),
+        exact: incoming.iter().all(|&b| b <= max_bond),
         two_site_applies: 0,
+        bonds_out: incoming.to_vec(),
     };
-    if n == 0 {
-        return est;
+    for g in circuit.gates() {
+        walk_gate(g, &mut est, max_bond);
     }
-    let phys_cap = |j: usize| -> usize {
-        let e = j.min(n - j).min(60);
-        1usize << e
-    };
-    // SVD + contraction work for one two-site apply at sites (i, i+1).
-    let unit_cost = |bonds: &[usize], i: usize| -> f64 {
-        let (cl, cm, cr) = (bonds[i], bonds[i + 1], bonds[i + 2]);
-        let (a, b) = (2 * cl, 2 * cr);
-        (a * b * a.min(b)) as f64 + (4 * cl * cm * cr) as f64
-    };
-    // A (possibly long-range) two-qubit gate of operator Schmidt rank
-    // `rank` on qubits (a, b). The SWAP round-trip is unitary, so the
-    // *net* bond growth is bounded per crossed cut by `rank` — much
-    // tighter than compounding the rank-4 bound of each literal SWAP,
-    // which would predict exponential blow-up the execution never pays.
-    let apply =
-        |bonds: &mut Vec<usize>, est: &mut MpsCostEstimate, a: usize, b: usize, rank: usize| {
-            let (a, b) = (a.min(b), a.max(b));
-            for j in (a + 1)..=b {
-                let grown = (rank * bonds[j])
-                    .min(2 * bonds[j - 1])
-                    .min(2 * bonds[j + 1])
-                    .min(phys_cap(j));
-                if grown > max_bond {
-                    est.exact = false;
-                }
-                bonds[j] = grown.min(max_bond);
-                est.chi_peak = est.chi_peak.max(bonds[j]);
-            }
-            // Work: the routing SWAPs (twice per intermediate cut) plus the
-            // adjacent apply, all charged at post-growth χ.
-            for j in (a + 1)..b {
-                est.units += 2.0 * unit_cost(bonds, j);
-                est.two_site_applies += 2;
-            }
-            est.units += unit_cost(bonds, a);
-            est.two_site_applies += 1;
-        };
-    let mut walk = |gates: &[Gate]| {
-        for g in gates {
-            match g {
-                Gate::Unary {
-                    op,
-                    target,
-                    controls,
-                } if controls.is_empty() => {
-                    est.units += match op.structure() {
-                        GateStructure::General(_) => 8.0,
-                        _ => 2.0,
-                    } * (bonds[*target] * bonds[*target + 1]) as f64;
-                }
-                Gate::Unary {
-                    target, controls, ..
-                } if controls.len() == 1 => {
-                    // Controlled-G = |0⟩⟨0|⊗I + |1⟩⟨1|⊗G: operator Schmidt rank 2.
-                    apply(&mut bonds, &mut est, controls[0], *target, 2);
-                }
-                Gate::Swap { a, b, controls } if controls.is_empty() => {
-                    apply(&mut bonds, &mut est, *a, *b, 4);
-                }
-                other => {
-                    for g in decompose_gate(other) {
-                        match &g {
-                            Gate::Unary {
-                                op,
-                                target,
-                                controls,
-                            } if controls.is_empty() => {
-                                est.units += match op.structure() {
-                                    GateStructure::General(_) => 8.0,
-                                    _ => 2.0,
-                                } * (bonds[*target] * bonds[*target + 1]) as f64;
-                            }
-                            Gate::Unary {
-                                target, controls, ..
-                            } if controls.len() == 1 => {
-                                apply(&mut bonds, &mut est, controls[0], *target, 2);
-                            }
-                            Gate::Swap { a, b, .. } => {
-                                apply(&mut bonds, &mut est, *a, *b, 4);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
+    est
+}
+
+/// One gate of [`estimate_mps_cost`]'s walk, lowered exactly as
+/// [`MpsState::apply_gate`] lowers it.
+fn walk_gate(gate: &Gate, est: &mut MpsCostEstimate, max_bond: usize) {
+    match gate {
+        Gate::Unary {
+            op,
+            target,
+            controls,
+        } if controls.is_empty() => {
+            let chi = |j: usize| est.bonds_out[j].min(max_bond) as f64;
+            est.units += match op.structure() {
+                GateStructure::General(_) => 8.0,
+                _ => 2.0,
+            } * chi(*target)
+                * chi(*target + 1);
+        }
+        // Controlled-G = |0⟩⟨0|⊗I + |1⟩⟨1|⊗G: operator Schmidt rank 2.
+        Gate::Unary {
+            target, controls, ..
+        } if controls.len() == 1 => walk_two_qubit(est, max_bond, controls[0], *target, 2),
+        Gate::Swap { a, b, controls } if controls.is_empty() => {
+            walk_two_qubit(est, max_bond, *a, *b, 4)
+        }
+        other => {
+            for g in decompose_gate(other) {
+                walk_gate(&g, est, max_bond);
             }
         }
+    }
+}
+
+/// A (possibly long-range) two-qubit gate of operator Schmidt rank
+/// `rank` on qubits (a, b). The SWAP round-trip is unitary, so the *net*
+/// growth of each crossed cut is bounded by `rank` — much tighter than
+/// compounding the rank-4 bound of each literal SWAP, which would predict
+/// exponential blow-up the execution never pays.
+fn walk_two_qubit(est: &mut MpsCostEstimate, max_bond: usize, a: usize, b: usize, rank: usize) {
+    let (a, b) = (a.min(b), a.max(b));
+    let bonds = &mut est.bonds_out;
+    let n = bonds.len() - 1;
+    for (j, chi) in bonds.iter_mut().enumerate().take(b + 1).skip(a + 1) {
+        *chi = chi.saturating_mul(rank).min(max_schmidt_rank(n, j));
+    }
+    // Tighten by the neighbours' *post-gate* bounds: cuts a and b + 1
+    // are untouched, and each pass only reads already-updated bounds.
+    for j in (a + 1)..=b {
+        bonds[j] = bonds[j].min(bonds[j - 1].saturating_mul(2));
+    }
+    for j in ((a + 1)..=b).rev() {
+        bonds[j] = bonds[j].min(bonds[j + 1].saturating_mul(2));
+    }
+    for &chi in &bonds[a + 1..=b] {
+        est.exact &= chi <= max_bond;
+        est.chi_peak = est.chi_peak.max(chi.min(max_bond));
+    }
+    // SVD + contraction work for one two-site apply at sites (i, i+1),
+    // at the bond dimensions a capped run would hold.
+    let unit_cost = |i: usize| -> f64 {
+        let chi = |j: usize| bonds[j].min(max_bond);
+        let (cl, cm, cr) = (chi(i), chi(i + 1), chi(i + 2));
+        let (x, y) = (2 * cl, 2 * cr);
+        (x * y * x.min(y)) as f64 + (4 * cl * cm * cr) as f64
     };
-    walk(circuit.gates());
-    est
+    // Work: the routing SWAPs (twice per intermediate cut) plus the
+    // adjacent apply, all charged at post-growth χ.
+    let mut units = unit_cost(a);
+    for j in (a + 1)..b {
+        units += 2.0 * unit_cost(j);
+    }
+    est.units += units;
+    est.two_site_applies += 2 * (b - a - 1) + 1;
 }
 
 #[cfg(test)]
@@ -959,17 +989,40 @@ mod tests {
         for q in 0..n - 1 {
             chain.push(Gate::cnot(q, q + 1));
         }
-        let ghz = estimate_mps_cost(&chain, 64);
+        let ghz = estimate_mps_cost(&chain, &[1; 13], 64);
         assert!(ghz.exact);
         assert!(
             ghz.chi_peak <= 2,
             "chain GHZ χ bound is 2, got {}",
             ghz.chi_peak
         );
-        let qft = estimate_mps_cost(&qft_circuit(20), 8);
+        let qft = estimate_mps_cost(&qft_circuit(20), &[1; 21], 8);
         assert!(!qft.exact, "QFT(20) must blow past χ = 8");
         assert_eq!(qft.chi_peak, 8);
         assert!(qft.units > ghz.units);
+    }
+
+    #[test]
+    fn estimate_bound_holds_from_an_entangled_input() {
+        // |+⟩₀ ⊗ Bell(1,2) ⊗ |0⟩₃, then CNOT(0 → 3): cut 2 ends up
+        // crossing two Bell pairs (χ = 4), which a clamp by the *pre-gate*
+        // χ₃ = 1 would wrongly cap at 2.
+        let mut prep = Circuit::new(4);
+        prep.push(Gate::h(0));
+        prep.push(Gate::h(1));
+        prep.push(Gate::cnot(1, 2));
+        let mut op = Circuit::new(4);
+        op.push(Gate::cnot(0, 3));
+        let first = estimate_mps_cost(&prep, &[1; 5], 16);
+        assert_eq!(first.bonds_out, [1, 1, 2, 1, 1]);
+        let second = estimate_mps_cost(&op, &first.bonds_out, 16);
+        let mut mps = MpsState::zero_state(4, 16);
+        mps.run(&prep);
+        mps.run(&op);
+        assert_eq!(mps.bond_dims(), [1, 2, 4, 2, 1]);
+        assert_eq!(second.bonds_out, [1, 2, 4, 2, 1]);
+        // The incoming profile alone decides exactness under a cap.
+        assert!(!estimate_mps_cost(&Circuit::new(4), &second.bonds_out, 2).exact);
     }
 
     #[test]

@@ -167,13 +167,16 @@ impl StateVector {
         // A forced compressed run is attempted first and audited: if the
         // bond cap forced any truncation, the attempt is discarded and
         // the circuit re-runs through the exact dense paths below — a
-        // mispredicted cap costs time, never correctness.
+        // mispredicted cap costs time, never correctness. An import that
+        // already truncates skips the compressed run altogether.
         if let MpsPolicy::Forced { max_bond } = config.mps {
             let mut mps = MpsState::from_statevector(self, max_bond);
-            mps.run(circuit);
             if mps.truncation_error() <= MPS_EXACT_TOL {
-                *self = mps.to_statevector();
-                return;
+                mps.run(circuit);
+                if mps.truncation_error() <= MPS_EXACT_TOL {
+                    *self = mps.to_statevector();
+                    return;
+                }
             }
         }
         if let SegmentPolicy::Blocked { block_bits } = config.segments {

@@ -6,9 +6,10 @@
 //! truncation-error accumulator that reads exactly 0.0. Shrinking the
 //! bond cap below the circuit's entanglement makes that accumulator
 //! grow monotonically; seeded shot sampling off the tensors is
-//! bit-identical to the dense CDF scan over the densified state; and
-//! the `SimConfig`/planner route (`MpsPolicy::Forced`) reproduces the
-//! same states end-to-end.
+//! bit-identical to the dense CDF scan over the densified state; the
+//! `SimConfig`/planner route (`MpsPolicy::Forced`) reproduces the same
+//! states end-to-end; and the planner's χ-growth bound, chained across
+//! consecutive ops, never under-estimates an actual bond dimension.
 
 use proptest::prelude::*;
 use qcemu::prelude::*;
@@ -101,6 +102,53 @@ fn assert_mps_equivalence(circuit: &Circuit) {
         cdiff <= 1e-10,
         "SimConfig MPS route deviates by {cdiff:.3e}"
     );
+}
+
+/// Runs `circuit` as two consecutive ops split before gate `split`,
+/// chaining the χ-growth estimates the way the planner does (op 2 starts
+/// from op 1's outgoing bound), and asserts that the bound dominates the
+/// actual bond dimensions of an ample-χ MPS run after each op. Op 1
+/// opens with a Hadamard layer so controlled gates actually entangle and
+/// op 2 receives a state the product profile would under-bound.
+fn assert_bond_bound_sound(circuit: &Circuit, split: usize) {
+    let n = circuit.n_qubits();
+    let ample = 1 << n.div_ceil(2);
+    let gates = circuit.gates();
+    let split = split % (gates.len() + 1);
+    let h_layer: Vec<Gate> = (0..n).map(Gate::h).collect();
+    let first: Vec<Gate> = h_layer.into_iter().chain(gates[..split].to_vec()).collect();
+    let mut mps = MpsState::zero_state(n, ample);
+    let mut bound = vec![1; n + 1];
+    for part in [&first[..], &gates[split..]] {
+        let mut op = Circuit::new(n);
+        for g in part {
+            op.push(g.clone());
+        }
+        let est = estimate_mps_cost(&op, &bound, ample);
+        assert!(est.exact, "χ = 2^⌈n/2⌉ certifies any {n}-qubit run");
+        mps.run(&op);
+        bound = est.bonds_out;
+        for (j, (&actual, &b)) in mps.bond_dims().iter().zip(&bound).enumerate() {
+            assert!(
+                actual <= b,
+                "cut {j}: actual χ {actual} exceeds the estimated bound {b} \
+                 (bounds {bound:?}, actual {:?})",
+                mps.bond_dims()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn chained_bond_bounds_dominate_actual_bonds(
+        circuit in random_circuit(10, 20),
+        split in 0..20usize,
+    ) {
+        assert_bond_bound_sound(&circuit, split);
+    }
 }
 
 proptest! {
