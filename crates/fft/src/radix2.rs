@@ -94,8 +94,8 @@ fn butterfly_block(
 
 fn bit_reverse_permute(plan: &FftPlan, data: &mut [C64]) {
     let rev = plan.bitrev();
-    for i in 0..data.len() {
-        let r = rev[i] as usize;
+    for (i, &r) in rev[..data.len()].iter().enumerate() {
+        let r = r as usize;
         if r > i {
             data.swap(i, r);
         }

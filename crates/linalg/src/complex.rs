@@ -208,7 +208,7 @@ impl Div for C64 {
     type Output = C64;
     #[inline]
     fn div(self, rhs: C64) -> C64 {
-        self * rhs.recip()
+        Mul::mul(self, rhs.recip())
     }
 }
 

@@ -38,12 +38,12 @@ pub fn random_unitary(n: usize, rng: &mut impl Rng) -> CMatrix {
         for i in 0..j {
             // proj = <cols[i], cols[j]>
             let mut proj = C64::ZERO;
-            for k in 0..n {
-                proj += cols[i][k].conj() * cols[j][k];
+            for (a, b) in cols[i].iter().zip(&cols[j]) {
+                proj += a.conj() * *b;
             }
-            for k in 0..n {
-                let s = proj * cols[i][k];
-                cols[j][k] -= s;
+            let (done, rest) = cols.split_at_mut(j);
+            for (x, &y) in rest[0].iter_mut().zip(&done[i]) {
+                *x -= proj * y;
             }
         }
         let norm = cols[j].iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
@@ -61,7 +61,7 @@ pub fn random_unitary(n: usize, rng: &mut impl Rng) -> CMatrix {
         let theta = rng.gen::<f64>() * std::f64::consts::TAU;
         rdiag[j] = C64::cis(theta);
         for z in cols[j].iter_mut() {
-            *z = *z * rdiag[j];
+            *z *= rdiag[j];
         }
     }
     CMatrix::from_fn(n, n, |r, c| cols[c][r])

@@ -224,44 +224,6 @@ pub fn swap_slices(a: &mut [C64], b: &mut [C64]) {
     a.swap_with_slice(b);
 }
 
-/// Gathers contiguous runs into a dense buffer: run `w` copies the
-/// `run` amplitudes at `src[base + offs[w] ..]` into
-/// `dst[w·run .. (w+1)·run]`.
-///
-/// This is the fused-kernel gather with the offset loop lifted from
-/// per-element to per-run: when a block's qubit set contains the low
-/// `log2(run)` bits, its local index space decomposes into `offs.len()`
-/// contiguous runs, and each run moves as one block copy (`memcpy`-class,
-/// lowered to wide vector moves) instead of `run` scalar
-/// address-computed loads. Like [`swap_slices`], kept as a named entry
-/// point so a specialised path (masked loads, non-temporal streaming)
-/// can slot in without touching the kernel drivers.
-///
-/// # Panics
-///
-/// Panics if any run reaches past `src` or `dst` is shorter than
-/// `offs.len()·run`.
-pub fn gather_runs(src: &[C64], base: usize, offs: &[usize], run: usize, dst: &mut [C64]) {
-    for (w, &off) in offs.iter().enumerate() {
-        let s = base + off;
-        dst[w * run..(w + 1) * run].copy_from_slice(&src[s..s + run]);
-    }
-}
-
-/// Scatter inverse of [`gather_runs`]: run `w` copies
-/// `src[w·run .. (w+1)·run]` back to `dst[base + offs[w] ..]`.
-///
-/// # Panics
-///
-/// Panics if any run reaches past `dst` or `src` is shorter than
-/// `offs.len()·run`.
-pub fn scatter_runs(src: &[C64], dst: &mut [C64], base: usize, offs: &[usize], run: usize) {
-    for (w, &off) in offs.iter().enumerate() {
-        let d = base + off;
-        dst[d..d + run].copy_from_slice(&src[w * run..(w + 1) * run]);
-    }
-}
-
 /// Multiplies every element of `xs` by a real factor (FFT normalisation).
 pub fn scale_slice_real(xs: &mut [C64], f: f64) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -293,6 +255,50 @@ pub fn cdot(a: &[C64], b: &[C64]) -> C64 {
         acc = x.mul_add(*y, acc);
     }
     acc
+}
+
+/// Batch-major matrix product over runs: for a row-major `dim × dim`
+/// matrix `m` and `dim` input runs of length `run` (run `c` at
+/// `x[c·run ..]`), writes `out[r·run + j] = Σ_c m[r·dim + c]·x[c·run + j]`
+/// — the core of a fused dense block applied along a contiguous batch
+/// axis. The SIMD path keeps two output rows × four lanes in registers
+/// across the whole `c` loop, so each input load feeds eight complex
+/// multiply-adds and each output is stored once. Zero matrix entries are
+/// skipped (block-sparse unitaries pay only their live columns).
+///
+/// # Panics
+///
+/// Panics if `m`, `x` or `out` is shorter than the shapes require.
+pub fn matmul_runs(m: &[C64], dim: usize, x: &[C64], out: &mut [C64], run: usize) {
+    assert!(m.len() >= dim * dim, "matmul_runs: matrix too short");
+    assert!(x.len() >= dim * run, "matmul_runs: input too short");
+    assert!(out.len() >= dim * run, "matmul_runs: output too short");
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if simd_active() {
+        // SAFETY: AVX2+FMA presence was verified at runtime; the shapes
+        // were checked above.
+        unsafe { avx2::matmul_runs(m, dim, x, out, run) };
+        return;
+    }
+    matmul_runs_scalar(m, dim, x, out, run);
+}
+
+/// Scalar reference for [`matmul_runs`]: column-by-column axpy along
+/// the runs.
+fn matmul_runs_scalar(m: &[C64], dim: usize, x: &[C64], out: &mut [C64], run: usize) {
+    out[..dim * run].fill(C64::ZERO);
+    for c in 0..dim {
+        let src = &x[c * run..(c + 1) * run];
+        for r in 0..dim {
+            let a = m[r * dim + c];
+            if a == C64::ZERO {
+                continue;
+            }
+            for (d, &s) in out[r * run..(r + 1) * run].iter_mut().zip(src) {
+                *d = a.mul_add(s, *d);
+            }
+        }
+    }
 }
 
 /// Radix-2 FFT butterfly over two half-block runs with a strided
@@ -570,6 +576,67 @@ mod avx2 {
         tail
     }
 
+    /// # Safety
+    ///
+    /// AVX2+FMA must be available, `m` must hold `dim²` entries and `x`
+    /// and `out` `dim·run` each (checked by the safe wrapper).
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn matmul_runs(
+        m: &[C64],
+        dim: usize,
+        x: &[C64],
+        out: &mut [C64],
+        run: usize,
+    ) {
+        let mp = m.as_ptr();
+        let xp = x.as_ptr();
+        let op = out.as_mut_ptr();
+        let zero = C64x4 {
+            re: _mm256_setzero_pd(),
+            im: _mm256_setzero_pd(),
+        };
+        // Column tiles of `jb` lanes keep the `dim × jb` input slab they
+        // read (≤ 16 KiB) L1-resident across all row pairs.
+        let jb = (1024 / dim.max(1)).max(4) & !3;
+        let vec_end = run & !3;
+        let mut j0 = 0;
+        while j0 < vec_end {
+            let j1 = (j0 + jb).min(vec_end);
+            let mut r = 0;
+            while r < dim {
+                // Two rows at a time (one when `dim` is odd).
+                let r1 = (r + 1).min(dim - 1);
+                let mut j = j0;
+                while j < j1 {
+                    let (mut acc0, mut acc1) = (zero, zero);
+                    for c in 0..dim {
+                        let (a0, a1) = (*mp.add(r * dim + c), *mp.add(r1 * dim + c));
+                        if a0 == C64::ZERO && a1 == C64::ZERO {
+                            continue;
+                        }
+                        let v = load4(xp.add(c * run + j));
+                        acc0 = mul_acc(splat(a0), v, acc0);
+                        acc1 = mul_acc(splat(a1), v, acc1);
+                    }
+                    store4(op.add(r * run + j), acc0);
+                    store4(op.add(r1 * run + j), acc1);
+                    j += 4;
+                }
+                r += 2;
+            }
+            j0 = j1;
+        }
+        for j in vec_end..run {
+            for row in 0..dim {
+                let mut acc = C64::ZERO;
+                for c in 0..dim {
+                    acc = (*mp.add(row * dim + c)).mul_add(*xp.add(c * run + j), acc);
+                }
+                *op.add(row * run + j) = acc;
+            }
+        }
+    }
+
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn fft_butterfly(
         lo: &mut [C64],
@@ -676,6 +743,39 @@ mod tests {
     }
 
     #[test]
+    fn matmul_runs_matches_naive_product() {
+        // Odd `dim` exercises the single-row tail, ragged `run` the lane
+        // tail, and a zeroed column the skip.
+        let mut rng = StdRng::seed_from_u64(13);
+        for (dim, run) in [(1usize, 5usize), (2, 4), (3, 7), (4, 64), (16, 300)] {
+            let mut m = random_state(dim * dim, &mut rng);
+            for r in 0..dim {
+                m[r * dim] = C64::ZERO;
+            }
+            let x = random_state(dim * run, &mut rng);
+            let mut expect = vec![C64::ZERO; dim * run];
+            for r in 0..dim {
+                for j in 0..run {
+                    for c in 0..dim {
+                        expect[r * run + j] += m[r * dim + c] * x[c * run + j];
+                    }
+                }
+            }
+            both_paths(
+                || {
+                    let mut out = vec![c64(9.0, 9.0); dim * run];
+                    matmul_runs(&m, dim, &x, &mut out, run);
+                    out
+                },
+                |s, n| {
+                    assert!(close(&s, &expect), "scalar, dim {dim} run {run}");
+                    assert!(close(&n, &expect), "native, dim {dim} run {run}");
+                },
+            );
+        }
+    }
+
+    #[test]
     fn scale_and_real_scale_match_scalar() {
         let mut rng = StdRng::seed_from_u64(12);
         let xs0 = random_state(16, &mut rng)[..13].to_vec();
@@ -765,36 +865,6 @@ mod tests {
             let (mut a, mut b) = (a0.clone(), b0.clone());
             swap_slices(&mut a, &mut b);
             assert!(close(&a, &b0) && close(&b, &a0), "len = {len}");
-        }
-    }
-
-    #[test]
-    fn gather_scatter_runs_round_trip() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for (run, offs) in [
-            (1usize, vec![0usize, 2, 8, 10]),
-            (2, vec![0, 4, 8, 12]),
-            (4, vec![0, 8, 16, 24]),
-        ] {
-            let src = random_state(32, &mut rng);
-            let mut dense = vec![C64::ZERO; offs.len() * run];
-            gather_runs(&src, 0, &offs, run, &mut dense);
-            for (w, &off) in offs.iter().enumerate() {
-                for j in 0..run {
-                    assert_eq!(dense[w * run + j], src[off + j], "run {w} lane {j}");
-                }
-            }
-            let mut dst = vec![C64::ZERO; 32];
-            scatter_runs(&dense, &mut dst, 0, &offs, run);
-            for (w, &off) in offs.iter().enumerate() {
-                for j in 0..run {
-                    assert_eq!(dst[off + j], src[off + j], "run {w} lane {j}");
-                }
-            }
-            // A non-zero base shifts every run.
-            let mut based = vec![C64::ZERO; offs.len() * run];
-            gather_runs(&src, 1, &offs[..2], run, &mut based[..2 * run]);
-            assert_eq!(based[0], src[offs[0] + 1]);
         }
     }
 

@@ -79,9 +79,7 @@ fn svd_tall(a: &CMatrix) -> Svd {
                 let mut alpha = 0.0;
                 let mut beta = 0.0;
                 let mut gamma = C64::ZERO;
-                for i in 0..m {
-                    let wp = w[p][i];
-                    let wq = w[q][i];
+                for (&wp, &wq) in w[p][..m].iter().zip(&w[q][..m]) {
                     alpha += wp.norm_sqr();
                     beta += wq.norm_sqr();
                     gamma += wp.conj() * wq;

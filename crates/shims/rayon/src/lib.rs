@@ -203,12 +203,10 @@ impl<T: Send, F: Fn(usize) -> T + Sync + Send> ParRangeMap<T, F> {
         unsafe { out.set_len(len) };
         let base = SendPtr(out.as_mut_ptr());
         pool::run_indexed(len, |block| {
-            // Capture the wrapper, not its raw-pointer field (edition-2021
-            // closures would otherwise capture the non-Sync `*mut` directly).
-            let base = base;
-            for i in block {
-                // SAFETY: in-bounds, and index `i` belongs to exactly one block.
-                unsafe { (*base.0.add(i)).write(f(start + i)) };
+            // SAFETY: in-bounds, and the pool's blocks are disjoint.
+            let slots = unsafe { base.slice_mut(block.clone()) };
+            for (slot, i) in slots.iter_mut().zip(block) {
+                slot.write(f(start + i));
             }
         });
         // SAFETY: fully initialised above; re-type the buffer in place.

@@ -328,7 +328,10 @@ impl BatchStateVector {
 /// Per-member qubit count of an interleaved buffer, validating the layout.
 #[inline]
 fn batch_bits(len: usize, batch: usize) -> usize {
-    assert!(batch > 0 && len % batch == 0, "buffer not a whole batch");
+    assert!(
+        batch > 0 && len.is_multiple_of(batch),
+        "buffer not a whole batch"
+    );
     let dim = len / batch;
     assert!(dim.is_power_of_two(), "per-member length must be 2^n");
     dim.trailing_zeros() as usize
@@ -682,12 +685,9 @@ pub fn apply_fused_permutation_batch(
     });
 }
 
-/// Fused general/dense block on every member: gathers each group's
-/// `2^k` batch runs into a worker-local scratch buffer, replays the
-/// block's precompiled `LocalOp`s on it (batched, in cache), and
-/// scatters back. Workers allocate their `2^k·batch` scratch **once**
-/// and sweep a contiguous range of groups, so the hot loop is
-/// allocation-free.
+/// Fused general block on every member: gathers each group's `2^k`
+/// batch runs into a worker-local scratch buffer, replays the block's
+/// precompiled `LocalOp`s on it (batched, in cache), and scatters back.
 pub(crate) fn apply_fused_local_batch(
     state: &mut [C64],
     batch: usize,
@@ -695,8 +695,32 @@ pub(crate) fn apply_fused_local_batch(
     ops: &[LocalOp],
     par_threshold: usize,
 ) {
+    replay_groups_batch(state, batch, qubits, par_threshold, |buf| {
+        for op in ops {
+            op.apply_batch(buf, batch);
+        }
+    });
+}
+
+/// The gather → `replay` → scatter driver behind
+/// [`apply_fused_local_batch`]: `replay` sees one group's `2^k` batch runs
+/// as a contiguous `2^k·batch` buffer (run `v` at `v·batch`). Workers
+/// allocate that scratch **once** and sweep a contiguous range of
+/// groups, so the hot loop is allocation-free. With no `qubits` every
+/// run is its own group and is replayed in place.
+pub(crate) fn replay_groups_batch<F>(
+    state: &mut [C64],
+    batch: usize,
+    qubits: &[usize],
+    par_threshold: usize,
+    replay: F,
+) where
+    F: Fn(&mut [C64]) + Sync,
+{
     let n_bits = batch_bits(state.len(), batch);
-    check_fused_qubits(n_bits, qubits);
+    if !qubits.is_empty() {
+        check_fused_qubits(n_bits, qubits);
+    }
     let dim = 1usize << qubits.len();
     let offs: Vec<usize> = (0..dim).map(|v| scatter_index(v, qubits)).collect();
     let count = 1usize << (n_bits - qubits.len());
@@ -709,8 +733,17 @@ pub(crate) fn apply_fused_local_batch(
     let chunk = count.div_ceil(workers);
     let ptr = StatePtr(state.as_mut_ptr());
     let body = |w: usize| {
+        let groups = (w * chunk)..((w + 1) * chunk).min(count);
+        if qubits.is_empty() {
+            for g in groups {
+                // SAFETY: run g is `g·batch..(g+1)·batch`, disjoint across
+                // g and in bounds since g < count = len / batch.
+                unsafe { replay(std::slice::from_raw_parts_mut(ptr.0.add(g * batch), batch)) };
+            }
+            return;
+        }
         let mut scratch = vec![C64::ZERO; dim * batch];
-        for g in (w * chunk)..((w + 1) * chunk).min(count) {
+        for g in groups {
             let base = expand_index(g, qubits);
             // SAFETY: disjoint groups (injective expansion, offsets
             // confined to the block's qubit bits); scratch is worker-local.
@@ -723,9 +756,7 @@ pub(crate) fn apply_fused_local_batch(
                         batch,
                     );
                 }
-                for op in ops {
-                    op.apply_batch(&mut scratch, batch);
-                }
+                replay(&mut scratch);
                 for (v, &off) in offs.iter().enumerate() {
                     std::ptr::copy_nonoverlapping(
                         scratch.as_ptr().add(v * batch),
@@ -812,9 +843,8 @@ pub(crate) fn apply_fused_dense_batch(
 
 /// The batch-major mat-mat core shared by [`apply_fused_dense_batch`] and
 /// [`crate::fusion::FusedGate::apply_buffer_batch`]:
-/// `out[r·batch+j] = Σ_c M[r,c]·input[c·batch+j]`. Accumulates column by
-/// column (axpy along the contiguous batch runs, auto-vectorised),
-/// skipping zero entries.
+/// `out[r·batch+j] = Σ_c M[r,c]·input[c·batch+j]`, through
+/// [`simd::matmul_runs`] (zero entries skipped).
 pub(crate) fn dense_mat_runs(
     matrix: &CMatrix,
     dim: usize,
@@ -822,20 +852,7 @@ pub(crate) fn dense_mat_runs(
     out: &mut [C64],
     batch: usize,
 ) {
-    out.fill(C64::ZERO);
-    for col in 0..dim {
-        let src = &input[col * batch..(col + 1) * batch];
-        for row in 0..dim {
-            let m = matrix[(row, col)];
-            if m == C64::ZERO {
-                continue;
-            }
-            let dst = &mut out[row * batch..(row + 1) * batch];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += m * s;
-            }
-        }
-    }
+    simd::matmul_runs(matrix.as_slice(), dim, input, out, batch);
 }
 
 #[cfg(test)]

@@ -19,9 +19,13 @@
 //!   amplitudes whose factor differs from 1;
 //! * **permutation** blocks (runs of X/CNOT/SWAP, possibly with phases)
 //!   move amplitudes along cycles with no arithmetic;
-//! * **general** blocks gather each 2^k group into an L1-resident buffer,
-//!   replay the block's precompiled gates on it, and scatter once — the
+//! * **general** blocks gather contiguous tiles of the state, replay the
+//!   block's precompiled gates on them in cache, and scatter once — the
 //!   same flops as unfused execution, paid against one memory sweep.
+//!
+//! Every sweep runs along contiguous runs of the state: the block's free
+//! low qubits are the batch axis of the batch-major kernels in
+//! [`crate::batch`] (see [`FusedGate::apply_slice_with`]).
 //!
 //! # Examples
 //!
@@ -40,9 +44,9 @@
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 use crate::kernels::{
-    apply_fused_diagonal_with, apply_fused_local, apply_fused_permutation_with, apply_fused_with,
-    apply_gate_slice_with, fused_touched_entries, touched_entries, LocalOp, MAX_FUSED_QUBITS,
-    PAR_THRESHOLD,
+    apply_fused_diagonal_with, apply_fused_permutation_with, apply_fused_with,
+    apply_gate_slice_with, check_fused_qubits, fused_touched_entries, touched_entries, LocalOp,
+    MAX_FUSED_QUBITS, PAR_THRESHOLD,
 };
 use crate::mps::MpsPolicy;
 use crate::segment::SegmentPolicy;
@@ -52,6 +56,18 @@ use qcemu_linalg::{simd, CMatrix, C64};
 /// reduction against gather/scatter overhead on current cache hierarchies;
 /// see `docs/PERFORMANCE.md` for how to pick a different value.
 pub const DEFAULT_MAX_FUSED_QUBITS: usize = 4;
+
+/// Longest contiguous run, `2^RUN_BITS` amplitudes (4 KiB), that a
+/// sequential fused sweep treats as the batch axis (see
+/// [`FusedGate::apply_slice_with`]). Long enough that gathers are memcpys
+/// and every SIMD pass amortises its call; short enough that the batched
+/// kernels' per-worker scratch (`2^k` runs, twice for dense blocks) stays
+/// at 512 KiB for the widest block.
+const RUN_BITS: usize = 8;
+
+/// Shortest run worth the batched kernels: below 4 amplitudes
+/// ([`simd::LANES`]) every slice call does scalar work.
+const MIN_RUN_BITS: usize = 2;
 
 /// How (and whether) a circuit is fused before execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -221,6 +237,11 @@ pub struct FusedGate {
     qubits: Vec<usize>,
     matrix: CMatrix,
     local_ops: Vec<LocalOp>,
+    /// `local_ops` on a gathered tile buffer (see
+    /// [`FusedGate::apply_slice_with`]): block qubit `q < RUN_BITS` keeps
+    /// bit `q`, the `i`-th qubit at or above it moves to bit
+    /// `RUN_BITS + i`.
+    tile_ops: Vec<LocalOp>,
     kind: BlockKind,
     gate_count: usize,
 }
@@ -260,11 +281,22 @@ impl FusedGate {
             }
         }
 
+        let split = qubits.partition_point(|&q| q < RUN_BITS);
+        let tile_bit = |j: usize| {
+            if j < split {
+                qubits[j]
+            } else {
+                RUN_BITS + (j - split)
+            }
+        };
+        let tile_ops = local_ops.iter().map(|op| op.remap_bits(tile_bit)).collect();
+
         let kind = classify(&matrix, dim, gates.len());
         FusedGate {
             qubits,
             matrix,
             local_ops,
+            tile_ops,
             kind,
             gate_count: gates.len(),
         }
@@ -303,19 +335,72 @@ impl FusedGate {
 
     /// [`FusedGate::apply_slice`] with an explicit parallelism threshold
     /// (see [`SimConfig::par_threshold`]).
+    ///
+    /// The sweep is the batch-major kernel family of [`crate::batch`] run
+    /// on the plain state, with the state's free low bits as the batch
+    /// axis. A block whose lowest qubit is `q0` leaves the low `q0` bits
+    /// free, so each of its local indices addresses `2^q0` contiguous
+    /// amplitudes: the state *is* a batch-major buffer with batch `2^t`,
+    /// `t = min(q0, RUN_BITS)`, over the block's qubits shifted down by
+    /// `t`. Gathers become memcpys of those runs and the in-buffer work
+    /// SIMD passes along them.
+    ///
+    /// * **General** blocks always gather whole `2^RUN_BITS` tiles: the
+    ///   block's qubits below `RUN_BITS` stay inside the tile, and its ops
+    ///   replay on the gathered tiles with their bits remapped (see
+    ///   `tile_ops`). For `q0 ≥ RUN_BITS` this is the batched replay at
+    ///   batch `2^RUN_BITS`; for lower blocks it still runs every op above
+    ///   qubit 1 as long SIMD slices, which measures 2–3× faster than
+    ///   short batch runs or per-group 2^k buffers.
+    /// * **Diagonal, permutation and dense** blocks run their batched
+    ///   kernels at batch `2^t` when `t ≥ 2`. Blocks on qubit 0 or 1 keep
+    ///   the per-group kernels of [`crate::kernels`]: runs of 1–2
+    ///   amplitudes are shorter than a SIMD vector, so the batched
+    ///   kernels pay a slice call per amplitude. `fusion_ablation`'s
+    ///   block table times both paths there: at batch 1–2 the batched
+    ///   kernels measure 1.1–2.7× slower on diagonal blocks, 1.0–2.4×
+    ///   on dense ones and 1.0–1.7× on permutations, and never faster.
     pub fn apply_slice_with(&self, state: &mut [C64], par_threshold: usize) {
+        check_fused_qubits(state.len().trailing_zeros() as usize, &self.qubits);
+        let t = self.qubits[0].min(RUN_BITS);
         match &self.kind {
+            BlockKind::General => self.apply_tiled(state, par_threshold),
+            _ if t >= MIN_RUN_BITS => {
+                let mut shifted = [0usize; MAX_FUSED_QUBITS];
+                for (s, &q) in shifted.iter_mut().zip(&self.qubits) {
+                    *s = q - t;
+                }
+                let shifted = &shifted[..self.qubits.len()];
+                self.apply_runs(state, 1 << t, shifted, par_threshold);
+            }
             BlockKind::Diagonal { factors } => {
                 apply_fused_diagonal_with(state, &self.qubits, factors, par_threshold)
             }
             BlockKind::Permutation { target, factor } => {
                 apply_fused_permutation_with(state, &self.qubits, target, factor, par_threshold)
             }
-            BlockKind::General => {
-                apply_fused_local(state, &self.qubits, &self.local_ops, par_threshold)
-            }
             BlockKind::Dense => apply_fused_with(state, &self.qubits, &self.matrix, par_threshold),
         }
+    }
+
+    /// Tile sweep of a general block: the state's low `RUN_BITS` bits
+    /// form one contiguous tile, the block's qubits at or above
+    /// `RUN_BITS` index the `2^|H|` tiles gathered per group, and
+    /// `tile_ops` replay on the gathered tiles. A state smaller than a
+    /// tile is one tile, replayed in place.
+    fn apply_tiled(&self, state: &mut [C64], par_threshold: usize) {
+        let tile_bits = (state.len().trailing_zeros() as usize).min(RUN_BITS);
+        let split = self.qubits.partition_point(|&q| q < RUN_BITS);
+        let mut high = [0usize; MAX_FUSED_QUBITS];
+        for (h, &q) in high.iter_mut().zip(&self.qubits[split..]) {
+            *h = q - RUN_BITS;
+        }
+        let high = &high[..self.qubits.len() - split];
+        crate::batch::replay_groups_batch(state, 1 << tile_bits, high, par_threshold, |buf| {
+            for op in &self.tile_ops {
+                op.apply(buf);
+            }
+        });
     }
 
     /// Applies the block to **one gathered group buffer** of `2^k`
@@ -377,11 +462,18 @@ impl FusedGate {
     /// * general blocks (fewer gates than `2^k`) gather and replay the
     ///   precompiled ops batched — cheaper than the GEMM at their depth.
     pub fn apply_batched_with(&self, state: &mut [C64], batch: usize, par_threshold: usize) {
+        self.apply_runs(state, batch, &self.qubits, par_threshold)
+    }
+
+    /// The batched kernels on `qubits` — the block's own qubits, or
+    /// (from [`FusedGate::apply_slice_with`]) its qubits shifted down by
+    /// the bits folded into `batch`.
+    fn apply_runs(&self, state: &mut [C64], batch: usize, qubits: &[usize], par_threshold: usize) {
         match &self.kind {
             BlockKind::Diagonal { factors } => crate::batch::apply_fused_diagonal_batch(
                 state,
                 batch,
-                &self.qubits,
+                qubits,
                 factors,
                 par_threshold,
             ),
@@ -389,7 +481,7 @@ impl FusedGate {
                 crate::batch::apply_fused_permutation_batch(
                     state,
                     batch,
-                    &self.qubits,
+                    qubits,
                     target,
                     factor,
                     par_threshold,
@@ -398,14 +490,14 @@ impl FusedGate {
             BlockKind::Dense => crate::batch::apply_fused_dense_batch(
                 state,
                 batch,
-                &self.qubits,
+                qubits,
                 &self.matrix,
                 par_threshold,
             ),
             BlockKind::General => crate::batch::apply_fused_local_batch(
                 state,
                 batch,
-                &self.qubits,
+                qubits,
                 &self.local_ops,
                 par_threshold,
             ),

@@ -608,49 +608,28 @@ pub fn apply_fused_with(state: &mut [C64], qubits: &[usize], m: &CMatrix, par_th
     let hi_offs: Vec<usize> = (0..dim >> run_bits)
         .map(|w| scatter_index(w, &qubits[run_bits..]))
         .collect();
-    let count = 1usize << (n_bits - qubits.len());
-    if state.len() >= par_threshold && count > 1 && rayon::current_num_threads() > 1 {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..count).into_par_iter().for_each(|g| {
-            let p = ptr;
-            let base = expand_index(g, qubits);
-            let mut x = [C64::ZERO; MAX_FUSED_DIM];
-            let mut out = [C64::ZERO; MAX_FUSED_DIM];
-            // SAFETY: distinct groups own disjoint state indices (see
-            // `for_each_group`), and every run `base + off .. + run` stays
-            // confined to this group's qubit-bit offsets.
-            unsafe {
-                for (w, &off) in hi_offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        p.0.add(base + off),
-                        x.as_mut_ptr().add(w * run),
-                        run,
-                    );
-                }
-                for (r, o) in out[..dim].iter_mut().enumerate() {
-                    *o = simd::cdot(m.row(r), &x[..dim]);
-                }
-                for (w, &off) in hi_offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        out.as_ptr().add(w * run),
-                        p.0.add(base + off),
-                        run,
-                    );
-                }
-            }
-        });
-    } else {
+    for_each_group(state, qubits, par_threshold, |p, base| {
         let mut x = [C64::ZERO; MAX_FUSED_DIM];
         let mut out = [C64::ZERO; MAX_FUSED_DIM];
-        for g in 0..count {
-            let base = expand_index(g, qubits);
-            simd::gather_runs(state, base, &hi_offs, run, &mut x[..dim]);
+        // SAFETY: distinct groups own disjoint state indices (see
+        // `for_each_group`), and every run `base + off .. + run` stays
+        // confined to this group's qubit-bit offsets.
+        unsafe {
+            for (w, &off) in hi_offs.iter().enumerate() {
+                std::ptr::copy_nonoverlapping(
+                    p.0.add(base + off),
+                    x.as_mut_ptr().add(w * run),
+                    run,
+                );
+            }
             for (r, o) in out[..dim].iter_mut().enumerate() {
                 *o = simd::cdot(m.row(r), &x[..dim]);
             }
-            simd::scatter_runs(&out[..dim], state, base, &hi_offs, run);
+            for (w, &off) in hi_offs.iter().enumerate() {
+                std::ptr::copy_nonoverlapping(out.as_ptr().add(w * run), p.0.add(base + off), run);
+            }
         }
-    }
+    });
 }
 
 /// Applies a fused **diagonal** block `diag(factors)` over `qubits`: only
@@ -843,6 +822,47 @@ impl LocalOp {
         }
     }
 
+    /// This op with every mask bit `j` moved to bit `f(j)` — the same
+    /// gate on a buffer whose index bits are laid out differently.
+    pub(crate) fn remap_bits(&self, f: impl Fn(usize) -> usize) -> LocalOp {
+        let m = |mask: usize| {
+            (0..usize::BITS as usize)
+                .filter(|&j| mask >> j & 1 == 1)
+                .fold(0usize, |acc, j| acc | 1 << f(j))
+        };
+        match *self {
+            LocalOp::Diag {
+                cmask,
+                tbit,
+                d0,
+                d1,
+            } => LocalOp::Diag {
+                cmask: m(cmask),
+                tbit: m(tbit),
+                d0,
+                d1,
+            },
+            LocalOp::Flip { cmask, tbit } => LocalOp::Flip {
+                cmask: m(cmask),
+                tbit: m(tbit),
+            },
+            LocalOp::Rot {
+                cmask,
+                tbit,
+                m: mat,
+            } => LocalOp::Rot {
+                cmask: m(cmask),
+                tbit: m(tbit),
+                m: mat,
+            },
+            LocalOp::Swap { cmask, abit, bbit } => LocalOp::Swap {
+                cmask: m(cmask),
+                abit: m(abit),
+                bbit: m(bbit),
+            },
+        }
+    }
+
     /// Applies the op to a gathered block (`buf.len() = 2^k`).
     ///
     /// The index space decomposes into contiguous runs of `2^p`
@@ -967,7 +987,7 @@ impl LocalOp {
     /// primitives at **any** local bit position (the per-state fast paths
     /// above need `tbit ≥ LANES`; here the run is the batch itself).
     pub(crate) fn apply_batch(&self, buf: &mut [C64], batch: usize) {
-        debug_assert!(batch > 0 && buf.len() % batch == 0);
+        debug_assert!(batch > 0 && buf.len().is_multiple_of(batch));
         let dim = buf.len() / batch;
         match *self {
             LocalOp::Diag {
@@ -1031,74 +1051,6 @@ pub(crate) fn run_pair_mut(
         (lo_run, hi_run)
     } else {
         (hi_run, lo_run)
-    }
-}
-
-/// Applies a fused block by gathering each group into a stack buffer,
-/// running the block's precompiled ops on it in cache, and scattering the
-/// result back — one memory sweep for the whole gate run, with exactly the
-/// same per-amplitude arithmetic as unfused execution. As in
-/// [`apply_fused_with`], the gather/scatter moves contiguous
-/// `2^run_bits`-amplitude runs (one per *high* block qubit combination)
-/// rather than `2^k` strided single elements.
-pub(crate) fn apply_fused_local(
-    state: &mut [C64],
-    qubits: &[usize],
-    ops: &[LocalOp],
-    par_threshold: usize,
-) {
-    let n_bits = log2_len(state) as usize;
-    check_fused_qubits(n_bits, qubits);
-    let dim = 1usize << qubits.len();
-    let run_bits = qubits
-        .iter()
-        .enumerate()
-        .take_while(|&(i, &q)| q == i)
-        .count();
-    let run = 1usize << run_bits;
-    let hi_offs: Vec<usize> = (0..dim >> run_bits)
-        .map(|w| scatter_index(w, &qubits[run_bits..]))
-        .collect();
-    let count = 1usize << (n_bits - qubits.len());
-    if state.len() >= par_threshold && count > 1 && rayon::current_num_threads() > 1 {
-        let ptr = StatePtr(state.as_mut_ptr());
-        (0..count).into_par_iter().for_each(|g| {
-            let p = ptr;
-            let base = expand_index(g, qubits);
-            let mut buf = [C64::ZERO; MAX_FUSED_DIM];
-            // SAFETY: distinct groups own disjoint state indices (see
-            // `for_each_group`), and every run `base + off .. + run` stays
-            // confined to this group's qubit-bit offsets.
-            unsafe {
-                for (w, &off) in hi_offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        p.0.add(base + off),
-                        buf.as_mut_ptr().add(w * run),
-                        run,
-                    );
-                }
-                for op in ops {
-                    op.apply(&mut buf[..dim]);
-                }
-                for (w, &off) in hi_offs.iter().enumerate() {
-                    std::ptr::copy_nonoverlapping(
-                        buf.as_ptr().add(w * run),
-                        p.0.add(base + off),
-                        run,
-                    );
-                }
-            }
-        });
-    } else {
-        let mut buf = [C64::ZERO; MAX_FUSED_DIM];
-        for g in 0..count {
-            let base = expand_index(g, qubits);
-            simd::gather_runs(state, base, &hi_offs, run, &mut buf[..dim]);
-            for op in ops {
-                op.apply(&mut buf[..dim]);
-            }
-            simd::scatter_runs(&buf[..dim], state, base, &hi_offs, run);
-        }
     }
 }
 

@@ -411,7 +411,7 @@ mod tests {
         let dist = sv.register_distribution(&[0, 2]);
         let mut rng = StdRng::seed_from_u64(95);
         let samples = sample_shots(&sv, 10_000, &mut rng);
-        let mut hist = vec![0usize; 4];
+        let mut hist = [0usize; 4];
         for s in samples {
             hist[StateVector::register_value(s, &[0, 2])] += 1;
         }

@@ -344,8 +344,8 @@ impl MpsState {
             GateStructure::Diagonal(d0, d1) => {
                 for l in 0..self.bonds[t] {
                     for r in 0..dr {
-                        site[(l * 2) * dr + r] = site[(l * 2) * dr + r] * d0;
-                        site[(l * 2 + 1) * dr + r] = site[(l * 2 + 1) * dr + r] * d1;
+                        site[(l * 2) * dr + r] *= d0;
+                        site[(l * 2 + 1) * dr + r] *= d1;
                     }
                 }
             }
@@ -409,10 +409,9 @@ impl MpsState {
         }
         let mut rotated = vec![C64::ZERO; dl * 4 * dr];
         for l in 0..dl {
-            for bp in 0..4 {
+            for (bp, row) in u4.iter().enumerate() {
                 let dst = (l * 4 + bp) * dr;
-                for b in 0..4 {
-                    let g = u4[bp][b];
+                for (b, &g) in row.iter().enumerate() {
                     if g == C64::ZERO {
                         continue;
                     }
@@ -588,9 +587,9 @@ fn controlled_two_site(g: &crate::gate::Mat2, control_high: bool) -> [[C64; 4]; 
             if ctrl == 0 {
                 u[b][b] = C64::ONE;
             } else {
-                for tp in 0..2 {
+                for (tp, g_row) in g.iter().enumerate() {
                     let bp = if control_high { tp + 2 * q } else { p + 2 * tp };
-                    u[bp][b] = g[tp][tgt];
+                    u[bp][b] = g_row[tgt];
                 }
             }
         }

@@ -292,7 +292,7 @@ pub fn segment_circuit(
 /// accumulated scalar factors applied, and the chunk written back.
 fn run_blocked(state: &mut [C64], block_bits: usize, ops: &[SegOp], par_threshold: usize) {
     let bsize = 1usize << block_bits;
-    debug_assert!(state.len() % bsize == 0);
+    debug_assert!(state.len().is_multiple_of(bsize));
     let nblocks = state.len() / bsize;
     if state.len() >= par_threshold && nblocks > 1 && rayon::current_num_threads() > 1 {
         let ptr = StatePtr(state.as_mut_ptr());
@@ -339,7 +339,7 @@ fn run_blocked_batch(
     par_threshold: usize,
 ) {
     let region = (1usize << block_bits) * batch;
-    debug_assert!(state.len() % region == 0);
+    debug_assert!(state.len().is_multiple_of(region));
     let nblocks = state.len() / region;
     let bsize = 1usize << block_bits;
     if state.len() >= par_threshold && nblocks > 1 && rayon::current_num_threads() > 1 {
@@ -456,7 +456,7 @@ impl SegmentedCircuit {
     pub fn apply_batched_with(&self, state: &mut [C64], batch: usize, par_threshold: usize) {
         assert!(batch > 0, "batch must be non-empty");
         assert!(
-            state.len() % batch == 0
+            state.len().is_multiple_of(batch)
                 && (state.len() / batch).is_power_of_two()
                 && state.len() / batch >= 1usize << self.n_qubits,
             "segmented circuit compiled for {} qubits × batch {batch}, buffer holds {}",
