@@ -238,11 +238,9 @@ impl BatchExecutor {
                 // Gate lists are bit-identical across an equal structure
                 // hash, so the planning member's cached fused stream (or
                 // raw circuit) is valid for every member.
-                if step.backend == Backend::SimulateFused {
-                    if let Some(fused) = &step.fused {
-                        state.apply_fused_circuit(fused);
-                        return Ok(true);
-                    }
+                if let Some(fused) = &step.fused {
+                    state.apply_fused_circuit(fused);
+                    return Ok(true);
                 }
                 state.run(c, &interp.step_config(step.backend));
                 Ok(true)
@@ -282,11 +280,7 @@ impl BatchExecutor {
                 // member's closures and must be rebuilt from each
                 // member's own op. One tiled de-interleave/re-interleave
                 // brackets the loop instead of per-member strided copies.
-                let stripped = PlanStep {
-                    circuit: None,
-                    fused: None,
-                    ..step.clone()
-                };
+                let stripped = step.stripped();
                 let mut states = state.to_states();
                 for (j, sv) in states.iter_mut().enumerate() {
                     let op = &members[j].ops()[step.op_index];

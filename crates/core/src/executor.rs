@@ -16,15 +16,11 @@
 use crate::crossover::{CostModel, QpeTimings};
 use crate::error::EmuError;
 use crate::plancache::SharedPlanCache;
-use crate::planner::{
-    extend_with_ancillas, plan_emulated, plan_hybrid, plan_simulated, truncate_ancillas,
-    ExecutionPlan, PlanInterpreter, PlanReport, PlanStep, StepReport,
-};
-use crate::program::{HighLevelOp, QuantumProgram};
+use crate::planner::{self, Candidates, ExecutionPlan, PlanInterpreter, PlanReport};
+use crate::program::QuantumProgram;
 use crate::qpe::QpeStrategy;
 use qcemu_sim::{SimConfig, StateVector};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Common interface of the execution back-ends.
 pub trait Executor {
@@ -80,7 +76,12 @@ impl GateLevelSimulator {
 
     /// The fixed all-gates plan this executor runs.
     pub fn plan(&self, program: &QuantumProgram) -> ExecutionPlan {
-        plan_simulated(program, &CostModel::default(), &self.config)
+        planner::plan(
+            program,
+            &CostModel::default(),
+            &self.config,
+            Candidates::Simulated,
+        )
     }
 
     fn interpreter(&self) -> PlanInterpreter {
@@ -118,7 +119,7 @@ pub struct Emulator {
     /// Table 2 advisor actually driving execution.
     pub qpe_timings: Option<QpeTimings>,
     /// Execution configuration for the gate-level residue
-    /// ([`HighLevelOp`]`::Gates` sequences,
+    /// ([`HighLevelOp`](crate::program::HighLevelOp)`::Gates` sequences,
     /// which have no shortcut): with fusion enabled, emulation shortcuts
     /// and fused simulation compose — each op runs at whichever level is
     /// cheapest.
@@ -172,9 +173,12 @@ impl Emulator {
 
     /// The fixed all-shortcuts plan this executor runs.
     pub fn plan(&self, program: &QuantumProgram) -> ExecutionPlan {
-        plan_emulated(program, &CostModel::default(), &self.config, |t, p| {
-            self.choose_qpe_strategy(t, p)
-        })
+        planner::plan(
+            program,
+            &CostModel::default(),
+            &self.config,
+            Candidates::Emulated(&|t, p| self.choose_qpe_strategy(t, p)),
+        )
     }
 }
 
@@ -346,7 +350,7 @@ impl HybridExecutor {
             &self.config,
             None,
             program.instance_id(),
-            || plan_hybrid(program, &self.model, &self.config),
+            || planner::plan(program, &self.model, &self.config, Candidates::All),
         )
     }
 
@@ -358,7 +362,7 @@ impl HybridExecutor {
             &self.config,
             Some(program.instance_id()),
             program.instance_id(),
-            || plan_hybrid(program, &self.model, &self.config),
+            || planner::plan(program, &self.model, &self.config, Candidates::All),
         )
     }
 
@@ -385,52 +389,7 @@ impl HybridExecutor {
         initial: StateVector,
     ) -> Result<(StateVector, PlanReport), EmuError> {
         let plan = self.plan_structural(program);
-        if plan.planned_from() == program.instance_id() {
-            // The plan was lowered from this very instance: the ordinary
-            // interpreter path is valid, artifacts included.
-            return self.run_plan(program, &plan, initial);
-        }
-        if initial.n_qubits() != program.n_qubits() {
-            return Err(EmuError::DimensionMismatch {
-                expected: program.n_qubits(),
-                got: initial.n_qubits(),
-            });
-        }
-        let interp = PlanInterpreter::new(self.config);
-        let n = program.n_qubits();
-        let mut state = extend_with_ancillas(initial, plan.n_ancilla());
-        let mut steps = Vec::with_capacity(plan.steps().len());
-        for step in plan.steps() {
-            let op = &program.ops()[step.op_index];
-            let structural = matches!(
-                op,
-                HighLevelOp::Gates(_)
-                    | HighLevelOp::Qft(_)
-                    | HighLevelOp::InverseQft(_)
-                    | HighLevelOp::Qpe(_)
-            );
-            let t0 = Instant::now();
-            if structural {
-                interp.execute_step(&mut state, program, op, step)?;
-            } else {
-                // Closure-bearing op: the carried circuit/fused stream
-                // was built from the planning instance's closures.
-                let stripped = PlanStep {
-                    circuit: None,
-                    fused: None,
-                    ..step.clone()
-                };
-                interp.execute_step(&mut state, program, op, &stripped)?;
-            }
-            steps.push(StepReport {
-                op: step.op.clone(),
-                backend: step.backend,
-                predicted_s: step.predicted_s,
-                measured_s: t0.elapsed().as_secs_f64(),
-            });
-        }
-        let state = truncate_ancillas(state, n)?;
-        Ok((state, PlanReport { steps }))
+        PlanInterpreter::new(self.config).run_steps(program, &plan, initial, true)
     }
 
     /// Runs the program and returns the final state together with the

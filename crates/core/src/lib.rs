@@ -66,8 +66,7 @@ pub use measurement::{
 };
 pub use plancache::{SharedPlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use planner::{
-    plan_emulated, plan_hybrid, plan_simulated, Backend, ExecutionPlan, PlanInterpreter,
-    PlanReport, PlanStep, StepReport,
+    plan, Backend, Candidates, ExecutionPlan, PlanInterpreter, PlanReport, PlanStep, StepReport,
 };
 pub use program::{
     ClassicalMap, GateImpl, HighLevelOp, MapKind, PhaseOracle, ProgramBuilder, ProgramRegister,

@@ -1,23 +1,23 @@
-//! Cost-model-driven execution planning: one plan IR, three backends.
+//! Cost-model-driven execution planning: one plan IR, one planner, one
+//! interpreter.
 //!
 //! The paper's central tension (§3.3, §4.4, Table 2) is that *neither*
 //! backend wins everywhere: emulation shortcuts win asymptotically, while
 //! gate-level simulation wins at small operator sizes and on raw gate
 //! runs. This module makes the choice explicit, per-op, and auditable:
 //!
-//! 1. every [`HighLevelOp`] **lowers** to a [`PlanStep`] naming a
-//!    [`Backend`] plus a predicted cost from the generalized
+//! 1. [`plan`] **lowers** every [`HighLevelOp`] to a [`PlanStep`] naming
+//!    a [`Backend`] plus a predicted cost from the generalized
 //!    [`CostModel`] (which extends the Table 2 QPE crossover analysis to
 //!    classical maps, QFTs, rotations, and raw gate runs via the
 //!    memory-traffic estimators `Circuit::touched_entries` /
-//!    `FusedCircuit::touched_entries`);
-//! 2. a single [`PlanInterpreter`] executes any plan — the legacy
+//!    `FusedCircuit::touched_entries`). Each op takes the cheapest of its
+//!    [`Candidates`]: the [`HybridExecutor`](crate::executor::HybridExecutor)
+//!    offers every backend, while the
 //!    [`Emulator`](crate::executor::Emulator) and
 //!    [`GateLevelSimulator`](crate::executor::GateLevelSimulator) are
-//!    thin wrappers over the fixed plans of [`plan_emulated`] /
-//!    [`plan_simulated`], and
-//!    [`HybridExecutor`](crate::executor::HybridExecutor) runs
-//!    [`plan_hybrid`], which picks the cheapest backend per op;
+//!    one-member sets;
+//! 2. a single [`PlanInterpreter`] executes any plan;
 //! 3. execution emits a [`PlanReport`] with per-op backend, predicted and
 //!    measured cost, so every dispatch decision can be audited against
 //!    the clock (see the `hybrid_ablation` bench).
@@ -25,16 +25,19 @@
 use crate::classical::{apply_classical_map, apply_phase_oracle};
 use crate::crossover::CostModel;
 use crate::error::EmuError;
-use crate::program::{HighLevelOp, ProgramRegister, QuantumProgram, RegisterId, RotationOp};
+use crate::program::{
+    GateImpl, HighLevelOp, ProgramRegister, QpeOp, QuantumProgram, RegisterId, RotationOp,
+};
 use crate::qpe::{apply_qpe, QpeStrategy};
 use qcemu_fft::{inverse_qft_subspace, qft_subspace};
 use qcemu_linalg::C64;
 use qcemu_sim::circuits::qft::{inverse_qft_circuit, qft_circuit};
 use qcemu_sim::{
     estimate_mps_cost, max_schmidt_rank, saturate_bonds, segment_circuit, Circuit, FusedCircuit,
-    FusionPolicy, Gate, GateOp, MpsPolicy, MpsState, SegmentPolicy, SimConfig, StateVector,
-    DEFAULT_MAX_FUSED_QUBITS, MPS_EXACT_TOL,
+    FusionPolicy, Gate, GateOp, MpsPolicy, SegmentPolicy, SimConfig, StateVector,
+    DEFAULT_MAX_FUSED_QUBITS,
 };
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
@@ -133,14 +136,29 @@ pub struct PlanStep {
     /// Work qubits this step needs above the program space (simulation
     /// backends only).
     pub n_ancilla: usize,
-    /// Deferred-build circuit (classical/phase/rotation gate impls)
-    /// materialised during costing — carried so execution does not
-    /// rebuild it.
+    /// Deferred-build circuit (classical/phase/rotation gate impls) of a
+    /// simulated step, materialised during costing — carried so
+    /// execution does not rebuild it.
     pub(crate) circuit: Option<Circuit>,
-    /// Fused block stream priced by the cost model — reused directly by
-    /// fused execution (fusion is semantics-preserving at any window, so
-    /// a cached stream is always state-correct).
+    /// Fused block stream of a [`Backend::SimulateFused`] step, priced by
+    /// the cost model — reused directly by fused execution (fusion is
+    /// semantics-preserving at any window, so a cached stream is always
+    /// state-correct).
     pub(crate) fused: Option<FusedCircuit>,
+}
+
+impl PlanStep {
+    /// This step without the artifacts costing built from the planning
+    /// instance's closures: running it re-derives them from the program
+    /// it runs on.
+    pub(crate) fn stripped(&self) -> PlanStep {
+        PlanStep {
+            op: self.op.clone(),
+            circuit: None,
+            fused: None,
+            ..*self
+        }
+    }
 }
 
 /// A fully lowered program: an ordered list of [`PlanStep`]s plus the
@@ -176,11 +194,10 @@ impl ExecutionPlan {
     /// `instance_id` of the program this plan was lowered from.
     ///
     /// [`PlanInterpreter::execute`] refuses any other instance; the
-    /// structure-keyed paths
-    /// ([`HybridExecutor::run_structural`](crate::executor::HybridExecutor::run_structural),
-    /// [`BatchExecutor`](crate::batch::BatchExecutor)) use this to decide
-    /// whether carried closure-built artifacts may be executed directly
-    /// or must be re-derived.
+    /// structure-keyed
+    /// [`HybridExecutor::run_structural`](crate::executor::HybridExecutor::run_structural)
+    /// runs another instance's plan, re-deriving the closure-built
+    /// artifacts it carries.
     pub fn planned_from(&self) -> u64 {
         self.program_id
     }
@@ -332,55 +349,115 @@ pub fn truncate_ancillas(state: StateVector, n_program: usize) -> Result<StateVe
 }
 
 // ---------------------------------------------------------------------------
-// Lowering: per-op candidate costs.
+// Lowering: one candidate-set pass.
 // ---------------------------------------------------------------------------
 
-/// Candidate backends for one op, with model costs. `None` marks a path
-/// the op does not have (no gate-level implementation, or no emulation
-/// shortcut for raw gate runs). The circuits the costing had to build
-/// (deferred gate impls, fused block streams) ride along so the plan can
-/// carry them to execution instead of rebuilding them.
-struct SimCosts {
-    unfused: Option<f64>,
-    fused: Option<f64>,
-    segmented: Option<f64>,
-    /// `(max_bond, cost)` of the compressed candidate — present only when
-    /// the entanglement-growth estimate certifies the circuit runs
-    /// *exactly* under that cap from the state it receives
-    /// ([`estimate_mps_cost`]).
-    mps: Option<(usize, f64)>,
-    /// Outgoing bond bound of that estimate's walk, when one was run.
-    bonds_out: Option<Vec<usize>>,
-    n_ancilla: usize,
-    circuit: Option<Circuit>,
-    fused_circuit: Option<FusedCircuit>,
+/// The backends each op of a [`plan`] may take. The plan gives every op
+/// the cheapest of its priced candidates, the first one winning ties, so
+/// a fixed plan is simply a one-member set.
+#[derive(Clone, Copy)]
+pub enum Candidates<'a> {
+    /// Every backend the op has: the
+    /// [`HybridExecutor`](crate::executor::HybridExecutor)'s plan.
+    All,
+    /// The op's emulation shortcut: the
+    /// [`Emulator`](crate::executor::Emulator)'s plan. Raw gate runs,
+    /// which have none, take the config's gate backend; QPE takes the
+    /// strategy the function picks from `(target_len, phase_len)`.
+    Emulated(&'a dyn Fn(usize, usize) -> QpeStrategy),
+    /// The config's gate backend for every op, QPE as
+    /// [`QpeStrategy::GateLevel`]: the
+    /// [`GateLevelSimulator`](crate::executor::GateLevelSimulator)'s plan.
+    /// An op without a gate-level implementation keeps that backend at
+    /// cost `∞` and fails at execution with
+    /// [`EmuError::NoGateImplementation`].
+    Simulated,
 }
 
-impl SimCosts {
-    fn none_built(unfused: Option<f64>, fused: Option<f64>, segmented: Option<f64>) -> SimCosts {
-        SimCosts {
-            unfused,
-            fused,
-            segmented,
-            mps: None,
-            bonds_out: None,
-            n_ancilla: 0,
-            circuit: None,
-            fused_circuit: None,
+impl Candidates<'_> {
+    /// The backends `op` may take, in tie-break order.
+    fn offers(
+        &self,
+        program: &QuantumProgram,
+        model: &CostModel,
+        config: &SimConfig,
+        op: &HighLevelOp,
+    ) -> Vec<Backend> {
+        match self {
+            Candidates::All => {
+                let mut offers = shortcuts(op);
+                offers.extend([
+                    Backend::SimulateFused,
+                    Backend::SimulateGateLevel,
+                    Backend::SimulateSegmented {
+                        block_bits: model.block_bits,
+                    },
+                ]);
+                offers.extend(
+                    self.mps_cap(config)
+                        .map(|max_bond| Backend::SimulateMps { max_bond }),
+                );
+                offers
+            }
+            Candidates::Emulated(choose_qpe) => match op {
+                HighLevelOp::Gates(_) => vec![sim_backend(config)],
+                HighLevelOp::Qpe(qpe) => vec![Backend::EmulateQpe {
+                    strategy: choose_qpe(
+                        program.register(qpe.target).len,
+                        program.register(qpe.phase).len,
+                    ),
+                }],
+                _ => shortcuts(op),
+            },
+            Candidates::Simulated => vec![sim_backend(config)],
         }
     }
 
-    /// The flavour `backend` executes with.
-    fn for_backend(&self, backend: Backend) -> Option<f64> {
-        match backend {
-            Backend::SimulateFused => self.fused,
-            Backend::SimulateSegmented { .. } => self.segmented,
-            Backend::SimulateMps { max_bond } => self
-                .mps
-                .filter(|(cap, _)| *cap == max_bond)
-                .map(|(_, cost)| cost),
-            _ => self.unfused,
+    /// Bond cap of the compressed candidates this set offers, if any.
+    /// The plan then carries a bond bound through the ops, so each one is
+    /// certified against the state it actually receives.
+    fn mps_cap(&self, config: &SimConfig) -> Option<usize> {
+        match (self, config.mps) {
+            (Candidates::All, mps) => mps.max_bond(),
+            (_, MpsPolicy::Forced { max_bond }) => Some(max_bond),
+            _ => None,
         }
+    }
+}
+
+/// The emulation shortcuts `op` has, in tie-break order (none for raw
+/// gate runs).
+fn shortcuts(op: &HighLevelOp) -> Vec<Backend> {
+    match op {
+        HighLevelOp::Gates(_) => vec![],
+        HighLevelOp::Classical(_) | HighLevelOp::Phase(_) | HighLevelOp::Rotation(_) => {
+            vec![Backend::EmulateClassical]
+        }
+        HighLevelOp::Qft(_) | HighLevelOp::InverseQft(_) => vec![Backend::EmulateFft],
+        HighLevelOp::Qpe(_) => [
+            QpeStrategy::RepeatedSquaring,
+            QpeStrategy::Eigendecomposition,
+        ]
+        .map(|strategy| Backend::EmulateQpe { strategy })
+        .to_vec(),
+    }
+}
+
+/// Backend a `config`-driven simulation step uses for raw circuits.
+/// A forced MPS policy wins outright (the caller explicitly asked for
+/// compressed execution); segmentation is checked next: a blocked
+/// segment policy subsumes the fusion policy (the sweeps between blocked
+/// segments still fuse under the config's own `FusionPolicy`).
+fn sim_backend(config: &SimConfig) -> Backend {
+    if let MpsPolicy::Forced { max_bond } = config.mps {
+        return Backend::SimulateMps { max_bond };
+    }
+    if let SegmentPolicy::Blocked { block_bits } = config.segments {
+        return Backend::SimulateSegmented { block_bits };
+    }
+    match config.fusion {
+        FusionPolicy::Disabled => Backend::SimulateGateLevel,
+        FusionPolicy::Greedy { .. } => Backend::SimulateFused,
     }
 }
 
@@ -409,545 +486,327 @@ fn plan_window(config: &SimConfig) -> usize {
     }
 }
 
-/// Gate-path costs of a concrete circuit on a `2^n_state` state.
-/// Each flavour is computed only when requested: the unfused estimate is
-/// an O(G) count, but the fused one actually runs the fusion engine
-/// (matrix compose + classify per block) — a plan that can never pick a
-/// fused candidate must not pay for it. `want_mps` carries the bond cap
-/// to price the compressed candidate under and the bond bound of the
-/// state the circuit receives (`n_state + 1` entries), or `None` to skip
-/// it.
-fn circuit_costs(
+/// Model cost of `strategy` on `qpe` at width `n_state`.
+fn qpe_cost(
     model: &CostModel,
-    c: &Circuit,
+    program: &QuantumProgram,
+    qpe: &QpeOp,
     n_state: usize,
-    window: usize,
-    want_unfused: bool,
-    want_fused: bool,
-    want_segmented: bool,
-    want_mps: Option<(usize, &[usize])>,
-) -> SimCosts {
-    let unfused = want_unfused.then(|| model.t_gates(c.touched_entries(n_state), c.gate_count()));
-    let (fused, fused_circuit) = if want_fused {
-        let fc = c.fuse(&FusionPolicy::Greedy {
-            max_fused_qubits: window,
-        });
-        let t = model.t_gates_fused(fc.touched_entries(n_state), c.gate_count(), fc.ops().len());
-        (Some(t), Some(fc))
-    } else {
-        (None, None)
-    };
-    // Price segmentation with the same policy `SimConfig::segmented()`
-    // executes with, splitting traffic into its streamed and in-cache
-    // terms. The compiled `SegmentedCircuit` is not carried: execution
-    // re-segments, paying the per-gate compile cost the model includes.
-    // Each blocked segment and each full-state sweep op launches one
-    // parallel region, so that is the dispatch count.
-    let segmented = want_segmented.then(|| {
-        let seg = segment_circuit(c, model.block_bits, &FusionPolicy::greedy());
-        model.t_gates_segmented(
-            seg.streamed_entries(n_state),
-            seg.incache_entries(n_state),
-            c.gate_count(),
-            seg.blocked_segments() + seg.sweep_segments(),
-        )
-    });
-    // The compressed candidate only exists when the χ-growth estimate
-    // certifies the whole run — import included — fits under the cap
-    // from the state the circuit actually receives: an inexact estimate
-    // means execution *would* truncate, and the interpreter would fall
-    // back to a dense re-run anyway — pricing that as "cheap" would bias
-    // the planner toward a path it can never take.
-    let (mps, bonds_out) = match want_mps {
-        Some((max_bond, incoming)) => {
-            let est = estimate_mps_cost(c, incoming, max_bond);
-            let cost = est
-                .exact
-                .then(|| (max_bond, model.t_gates_mps(est.units, incoming)));
-            (cost, Some(est.bonds_out))
-        }
-        None => (None, None),
-    };
-    SimCosts {
-        unfused,
-        fused,
-        segmented,
-        mps,
-        bonds_out,
-        n_ancilla: 0,
-        circuit: None,
-        fused_circuit,
-    }
+    strategy: QpeStrategy,
+) -> f64 {
+    model.t_qpe(
+        n_state,
+        program.register(qpe.target).len,
+        qpe.unitary.gate_count().max(1),
+        program.register(qpe.phase).len,
+        strategy,
+    )
 }
 
-/// Costs of one op's gate-level implementation (shared by the Classical,
-/// Phase, and Rotation arms of [`sim_costs`]): builds the deferred
-/// circuit and prices it at the width the op itself forces —
-/// `n + max(n_anc_plan, its own ancillas)`.
-fn gate_impl_sim_costs(
-    model: &CostModel,
-    program: &QuantumProgram,
-    gi: &crate::program::GateImpl,
-    n_anc_plan: usize,
-    window: usize,
-    want_unfused: bool,
-    want_fused: bool,
-    want_segmented: bool,
-    want_mps: Option<(usize, &[usize])>,
-) -> SimCosts {
-    let c = (gi.build)(program);
-    let n_sim = program.n_qubits() + n_anc_plan.max(gi.n_ancilla);
-    // Head-room beyond the plan's is fresh |0⟩ ancillas: product cuts.
-    let incoming = want_mps.map(|(max_bond, bonds)| {
-        let mut padded = bonds.to_vec();
-        padded.resize(n_sim + 1, 1);
-        (max_bond, padded)
-    });
-    let costs = circuit_costs(
-        model,
-        &c,
-        n_sim,
-        window,
-        want_unfused,
-        want_fused,
-        want_segmented,
-        incoming
-            .as_ref()
-            .map(|(max_bond, bonds)| (*max_bond, &bonds[..])),
-    );
-    SimCosts {
-        n_ancilla: gi.n_ancilla,
-        circuit: Some(c),
-        ..costs
-    }
-}
-
-/// Predicted cost of the op's emulation shortcut, or `None` for raw gate
-/// runs (which have none). Pure formula evaluation — never builds a
-/// circuit. For QPE, returns the cheaper of the two dense strategies.
-fn emulate_candidate(
-    model: &CostModel,
-    program: &QuantumProgram,
-    op: &HighLevelOp,
-    n_state: usize,
-) -> Option<(Backend, f64)> {
-    match op {
-        HighLevelOp::Gates(_) => None,
-        HighLevelOp::Classical(cm) => {
-            let k: usize = cm.regs.iter().map(|&r| program.register(r).len).sum();
-            Some((
-                Backend::EmulateClassical,
-                model.t_classical_emulated(n_state, k),
-            ))
-        }
-        HighLevelOp::Phase(_) => {
-            Some((Backend::EmulateClassical, model.t_oracle_emulated(n_state)))
-        }
-        HighLevelOp::Rotation(_) => Some((
-            Backend::EmulateClassical,
-            model.t_rotation_emulated(n_state),
-        )),
-        HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r) => Some((
-            Backend::EmulateFft,
-            model.t_qft_emulated(n_state, program.register(*r).len),
-        )),
-        HighLevelOp::Qpe(qpe) => {
-            let m = program.register(qpe.target).len;
-            let b = program.register(qpe.phase).len;
-            let g = qpe.unitary.gate_count().max(1);
-            let (strategy, cost) = [
-                QpeStrategy::RepeatedSquaring,
-                QpeStrategy::Eigendecomposition,
-            ]
-            .into_iter()
-            .map(|s| (s, model.t_qpe(n_state, m, g, b, s)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("two candidates");
-            Some((Backend::EmulateQpe { strategy }, cost))
-        }
-    }
-}
-
-/// Predicted costs of the op's gate-level path(s), or `None` when it has
-/// no gate-level implementation. Only the requested flavours are
-/// computed (see [`circuit_costs`]).
-///
-/// `n_anc_plan` is the ancilla head-room the rest of the plan already
-/// commits to: every sweep in this run pays `2^{n + n_anc_plan}` entries,
-/// and an op whose own gate path needs more ancillas than that is costed
-/// at its own (larger) width.
-fn sim_costs(
-    model: &CostModel,
-    program: &QuantumProgram,
-    op: &HighLevelOp,
-    window: usize,
-    n_anc_plan: usize,
-    want_unfused: bool,
-    want_fused: bool,
-    want_segmented: bool,
-    want_mps: Option<(usize, &[usize])>,
-) -> Option<SimCosts> {
-    let n = program.n_qubits();
-    let n_state = n + n_anc_plan;
-    match op {
-        HighLevelOp::Gates(c) => Some(circuit_costs(
-            model,
-            c,
-            n_state,
-            window,
-            want_unfused,
-            want_fused,
-            want_segmented,
-            want_mps,
-        )),
-        HighLevelOp::Classical(cm) => cm.gate_impl.as_ref().map(|gi| {
-            gate_impl_sim_costs(
-                model,
-                program,
-                gi,
-                n_anc_plan,
-                window,
-                want_unfused,
-                want_fused,
-                want_segmented,
-                want_mps,
-            )
-        }),
-        HighLevelOp::Phase(po) => po.gate_impl.as_ref().map(|gi| {
-            gate_impl_sim_costs(
-                model,
-                program,
-                gi,
-                n_anc_plan,
-                window,
-                want_unfused,
-                want_fused,
-                want_segmented,
-                want_mps,
-            )
-        }),
-        HighLevelOp::Rotation(ro) => Some(match &ro.gate_impl {
-            Some(gi) => gate_impl_sim_costs(
-                model,
-                program,
-                gi,
-                n_anc_plan,
-                window,
-                want_unfused,
-                want_fused,
-                want_segmented,
-                want_mps,
-            ),
-            None => {
-                // The generic per-value expansion is exponential in the
-                // control register; cost it analytically instead of
-                // materialising it just to reject it (so every gate
-                // flavour shares the same analytic estimate).
-                let t = model.t_rotation_simulated(n_state, program.register(ro.x).len);
-                SimCosts::none_built(Some(t), Some(t), Some(t))
-            }
-        }),
-        HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r) => {
-            let bits = program.register(*r).len;
-            let costs = circuit_costs(
-                model,
-                &qft_circuit(bits),
-                n_state,
-                window,
-                want_unfused,
-                want_fused,
-                want_segmented,
-                // QFT entanglement saturates any realistic bond cap and
-                // the costed circuit is unremapped anyway — no
-                // compressed candidate for register QFTs.
-                None,
-            );
-            // The costed circuit addresses the register's *relative*
-            // qubits; execution remaps it onto the program — don't carry
-            // the unremapped artifacts.
-            Some(SimCosts::none_built(
-                costs.unfused,
-                costs.fused,
-                costs.segmented,
-            ))
-        }
-        HighLevelOp::Qpe(qpe) => {
-            // QPE's gate-level path runs through `apply_qpe`, not the
-            // fusion engine — one candidate, same cost on every flavour.
-            let m = program.register(qpe.target).len;
-            let b = program.register(qpe.phase).len;
-            let g = qpe.unitary.gate_count().max(1);
-            let t = model.t_qpe(n_state, m, g, b, QpeStrategy::GateLevel);
-            Some(SimCosts::none_built(Some(t), Some(t), Some(t)))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Planners: the two legacy fixed-backend lowerings and the hybrid one.
-// ---------------------------------------------------------------------------
-
-/// Backend a `config`-driven simulation step uses for raw circuits.
-/// A forced MPS policy wins outright (the caller explicitly asked for
-/// compressed execution); segmentation is checked next: a blocked
-/// segment policy subsumes the fusion policy (the sweeps between blocked
-/// segments still fuse under the config's own `FusionPolicy`).
-fn sim_backend(config: &SimConfig) -> Backend {
-    if let MpsPolicy::Forced { max_bond } = config.mps {
-        return Backend::SimulateMps { max_bond };
-    }
-    if let SegmentPolicy::Blocked { block_bits } = config.segments {
-        return Backend::SimulateSegmented { block_bits };
-    }
-    match config.fusion {
-        FusionPolicy::Disabled => Backend::SimulateGateLevel,
-        FusionPolicy::Greedy { .. } => Backend::SimulateFused,
-    }
-}
-
-///// Which gate-path cost flavours a fixed-backend plan must price:
-/// `(fused, segmented, mps bond cap)`.
-fn backend_wants(backend: Backend) -> (bool, bool, Option<usize>) {
-    match backend {
-        Backend::SimulateFused => (true, false, None),
-        Backend::SimulateSegmented { .. } => (false, true, None),
-        Backend::SimulateMps { max_bond } => (false, false, Some(max_bond)),
-        _ => (false, false, None),
-    }
-}
-
-/// Lowers every op onto its emulation shortcut (raw gate runs, which have
-/// no shortcut, use the configured gate path) — the
-/// [`Emulator`](crate::executor::Emulator)'s fixed plan. `choose_qpe`
-/// picks the QPE strategy from `(target_len, phase_len)`.
-pub fn plan_emulated(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-    choose_qpe: impl Fn(usize, usize) -> QpeStrategy,
-) -> ExecutionPlan {
-    let n = program.n_qubits();
-    let window = plan_window(config);
-    // Fixed plans certify a forced compressed step from |0…0⟩; one that
-    // meets an entangled state is caught by the interpreter's audit.
-    let product = vec![1; n + 1];
-    let steps = program
-        .ops()
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let (backend, predicted_s, fused_circuit) = match op {
-                HighLevelOp::Gates(_) => {
-                    let backend = sim_backend(config);
-                    let (fused, seg, mps) = backend_wants(backend);
-                    let costs = sim_costs(
-                        model,
-                        program,
-                        op,
-                        window,
-                        0,
-                        !fused && !seg && mps.is_none(),
-                        fused,
-                        seg,
-                        mps.map(|cap| (cap, &product[..])),
-                    )
-                    .expect("raw gates always have a gate path");
-                    let cost = costs.for_backend(backend);
-                    (backend, cost.unwrap_or(f64::INFINITY), costs.fused_circuit)
-                }
-                HighLevelOp::Qpe(qpe) => {
-                    let m = program.register(qpe.target).len;
-                    let b = program.register(qpe.phase).len;
-                    let strategy = choose_qpe(m, b);
-                    let g = qpe.unitary.gate_count().max(1);
-                    (
-                        Backend::EmulateQpe { strategy },
-                        model.t_qpe(n, m, g, b, strategy),
-                        None,
-                    )
-                }
-                _ => {
-                    let (backend, cost) = emulate_candidate(model, program, op, n)
-                        .expect("every non-gate op has a shortcut");
-                    (backend, cost, None)
-                }
-            };
-            PlanStep {
-                op_index: i,
-                op: op_label(program, op),
-                backend,
-                predicted_s,
-                n_ancilla: 0,
-                circuit: None,
-                fused: fused_circuit,
-            }
-        })
-        .collect();
-    ExecutionPlan::from_steps(program, steps)
-}
-
-/// Lowers every op to elementary-gate execution — the
-/// [`GateLevelSimulator`](crate::executor::GateLevelSimulator)'s fixed
-/// plan. Ops without a gate-level implementation are kept (predicted cost
-/// `∞`) and fail at execution with
-/// [`EmuError::NoGateImplementation`], matching the legacy executor.
-pub fn plan_simulated(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-) -> ExecutionPlan {
-    let n_anc_all = program.max_gate_ancillas();
-    let backend = sim_backend(config);
-    let (fused, seg, mps) = backend_wants(backend);
-    let window = plan_window(config);
-    let product = vec![1; program.n_qubits() + n_anc_all + 1];
-    let steps = program
-        .ops()
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let costs = sim_costs(
-                model,
-                program,
-                op,
-                window,
-                n_anc_all,
-                !fused && !seg && mps.is_none(),
-                fused,
-                seg,
-                mps.map(|cap| (cap, &product[..])),
-            );
-            let (cost, n_ancilla, circuit, fused_circuit) = match costs {
-                Some(c) => (
-                    c.for_backend(backend).unwrap_or(f64::INFINITY),
-                    c.n_ancilla,
-                    c.circuit,
-                    c.fused_circuit,
-                ),
-                None => (f64::INFINITY, 0, None, None),
-            };
-            let backend = match op {
-                // QPE's gate-level strategy is explicit in the IR.
-                HighLevelOp::Qpe(_) => Backend::EmulateQpe {
-                    strategy: QpeStrategy::GateLevel,
-                },
-                _ => backend,
-            };
-            PlanStep {
-                op_index: i,
-                op: op_label(program, op),
-                backend,
-                predicted_s: cost,
-                n_ancilla,
-                circuit,
-                fused: fused_circuit,
-            }
-        })
-        .collect();
-    // The legacy simulator reserves head-room for every op up front,
-    // whether or not a cheaper plan could avoid it.
-    let mut plan = ExecutionPlan::from_steps(program, steps);
-    plan.n_ancilla = n_anc_all;
-    plan
-}
-
-/// Lowers each op onto its cheapest backend under `model` — the
-/// [`HybridExecutor`](crate::executor::HybridExecutor)'s plan.
-///
-/// Backend choices couple through ancilla head-room: once any step
-/// simulates an op that needs `a` work qubits, *every* sweep in the run
-/// pays `2^{n+a}` entries. The planner resolves the coupling by fixed
-/// point: plan with the current head-room, recompute the head-room the
-/// chosen steps actually need, re-plan until stable. Choices near a
-/// break-even can oscillate with the head-room (an op may simulate at
-/// width `n` but emulate at `n+1`), so iteration is capped; if no fixed
-/// point is reached, the last plan's choices are committed and its
-/// predictions are re-costed at the head-room it will *actually* execute
-/// with, keeping the [`PlanReport`] audit consistent.
-pub fn plan_hybrid(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-) -> ExecutionPlan {
-    let mut n_anc = 0usize;
-    for _ in 0..4 {
-        let plan = plan_hybrid_once(program, model, config, n_anc);
-        if plan.n_ancilla == n_anc {
-            return plan;
-        }
-        n_anc = plan.n_ancilla;
-    }
-    let mut plan = plan_hybrid_once(program, model, config, n_anc);
-    if plan.n_ancilla != n_anc {
-        let mut bonds = vec![1; program.n_qubits() + plan.n_ancilla + 1];
-        for step in &mut plan.steps {
-            let op = &program.ops()[step.op_index];
-            step.predicted_s = recost_step(
-                model,
-                program,
-                op,
-                step.backend,
-                config,
-                plan.n_ancilla,
-                &mut bonds,
-            );
-        }
-    }
-    plan
-}
-
-/// Predicted cost of `op` on an already-chosen backend at execution
-/// head-room `n_anc_exec` (the unconverged-fixed-point repair path of
-/// [`plan_hybrid`]). `bonds` is the bond bound of the state the op
-/// receives, advanced past the op on return (see [`advance_bonds`]).
-fn recost_step(
+/// Model cost of `op` on the emulation backend `backend` at width
+/// `n_state`, or `∞` when the op has no such shortcut. Pure formula
+/// evaluation: never builds a circuit.
+fn emulate_cost(
     model: &CostModel,
     program: &QuantumProgram,
     op: &HighLevelOp,
     backend: Backend,
-    config: &SimConfig,
-    n_anc_exec: usize,
-    bonds: &mut [usize],
+    n_state: usize,
 ) -> f64 {
-    let n_state = program.n_qubits() + n_anc_exec;
-    let max_bond = match backend {
-        Backend::SimulateMps { max_bond } => Some(max_bond),
-        _ => config.mps.max_bond(),
-    };
-    let sim = sim_costs(
-        model,
-        program,
-        op,
-        plan_window(config),
-        n_anc_exec,
-        backend == Backend::SimulateGateLevel,
-        backend == Backend::SimulateFused,
-        matches!(backend, Backend::SimulateSegmented { .. }),
-        max_bond.map(|cap| (cap, &bonds[..])),
-    );
-    let cost = match backend {
-        Backend::EmulateClassical | Backend::EmulateFft => {
-            emulate_candidate(model, program, op, n_state).map(|(_, c)| c)
+    match (backend, op) {
+        (Backend::EmulateClassical, HighLevelOp::Classical(cm)) => {
+            let k: usize = cm.regs.iter().map(|&r| program.register(r).len).sum();
+            model.t_classical_emulated(n_state, k)
         }
-        Backend::EmulateQpe { strategy } => match op {
-            HighLevelOp::Qpe(qpe) => Some(model.t_qpe(
+        (Backend::EmulateClassical, HighLevelOp::Phase(_)) => model.t_oracle_emulated(n_state),
+        (Backend::EmulateClassical, HighLevelOp::Rotation(_)) => model.t_rotation_emulated(n_state),
+        (Backend::EmulateFft, HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r)) => {
+            model.t_qft_emulated(n_state, program.register(*r).len)
+        }
+        (Backend::EmulateQpe { strategy }, HighLevelOp::Qpe(qpe)) => {
+            qpe_cost(model, program, qpe, n_state, strategy)
+        }
+        _ => f64::INFINITY,
+    }
+}
+
+/// An op's gate-level implementation, as pricing sees it.
+enum GatePath<'p> {
+    /// No gate-level implementation: every simulated candidate is `∞`.
+    Missing,
+    /// One analytic cost on every dense flavour and no compressed
+    /// candidate: QPE runs through `apply_qpe`, not the fusion engine,
+    /// and the generic rotation expansion is exponential in the control
+    /// register, so it is priced rather than materialised.
+    Analytic(f64),
+    /// A concrete circuit on a `2^n_sim`-amplitude state.
+    Circuit {
+        c: Cow<'p, Circuit>,
+        n_sim: usize,
+        /// Work qubits the op needs above the program space.
+        n_ancilla: usize,
+        /// `false` for register QFTs: the priced circuit addresses the
+        /// register's relative qubits and execution remaps it, so it is
+        /// neither walked for the compressed candidate nor carried.
+        on_program: bool,
+    },
+}
+
+/// One lowering pass at a fixed ancilla head-room.
+struct Lowering<'a> {
+    program: &'a QuantumProgram,
+    model: &'a CostModel,
+    /// Fusion window fused candidates are priced with.
+    window: usize,
+    /// Ancilla head-room the plan commits to: every sweep in the run pays
+    /// `2^{n + n_anc}` entries.
+    n_anc: usize,
+    /// Bond cap of the set's compressed candidates (every one carries
+    /// it); when set, the pass carries the bond bound of the state each op
+    /// receives and walks each op's circuit under it.
+    mps_cap: Option<usize>,
+}
+
+impl Lowering<'_> {
+    fn lower(&self, offers: impl Fn(usize, &HighLevelOp) -> Vec<Backend>) -> ExecutionPlan {
+        // Bond bound of the state each op receives: |0…0⟩ before op 0,
+        // then carried through the ops in program order.
+        let mut bonds = self
+            .mps_cap
+            .map(|_| vec![1; self.program.n_qubits() + self.n_anc + 1]);
+        let steps = self
+            .program
+            .ops()
+            .iter()
+            .enumerate()
+            .map(|(i, op)| self.lower_op(i, op, &offers(i, op), bonds.as_mut()))
+            .collect();
+        ExecutionPlan::from_steps(self.program, steps)
+    }
+
+    /// The op's gate path. A deferred-build circuit is priced at the
+    /// width the op itself forces, `n + max(n_anc, its own ancillas)`.
+    fn gate_path<'p>(&self, op: &'p HighLevelOp) -> GatePath<'p> {
+        let (program, model) = (self.program, self.model);
+        let n_state = program.n_qubits() + self.n_anc;
+        let built = |gi: &GateImpl| GatePath::Circuit {
+            c: Cow::Owned((gi.build)(program)),
+            n_sim: program.n_qubits() + self.n_anc.max(gi.n_ancilla),
+            n_ancilla: gi.n_ancilla,
+            on_program: true,
+        };
+        match op {
+            HighLevelOp::Gates(c) => GatePath::Circuit {
+                c: Cow::Borrowed(c),
+                n_sim: n_state,
+                n_ancilla: 0,
+                on_program: true,
+            },
+            HighLevelOp::Classical(cm) => cm.gate_impl.as_ref().map_or(GatePath::Missing, built),
+            HighLevelOp::Phase(po) => po.gate_impl.as_ref().map_or(GatePath::Missing, built),
+            HighLevelOp::Rotation(ro) => match &ro.gate_impl {
+                Some(gi) => built(gi),
+                None => GatePath::Analytic(
+                    model.t_rotation_simulated(n_state, program.register(ro.x).len),
+                ),
+            },
+            HighLevelOp::Qft(r) | HighLevelOp::InverseQft(r) => GatePath::Circuit {
+                c: Cow::Owned(qft_circuit(program.register(*r).len)),
+                n_sim: n_state,
+                n_ancilla: 0,
+                on_program: false,
+            },
+            HighLevelOp::Qpe(qpe) => GatePath::Analytic(qpe_cost(
+                model,
+                program,
+                qpe,
                 n_state,
-                program.register(qpe.target).len,
-                qpe.unitary.gate_count().max(1),
-                program.register(qpe.phase).len,
-                strategy,
+                QpeStrategy::GateLevel,
             )),
+        }
+    }
+
+    /// Prices each offered backend and keeps the cheapest. Only the
+    /// winner keeps what pricing built: a simulated step its
+    /// deferred-build circuit, a fused step its block stream.
+    fn lower_op(
+        &self,
+        op_index: usize,
+        op: &HighLevelOp,
+        offered: &[Backend],
+        bonds: Option<&mut Vec<usize>>,
+    ) -> PlanStep {
+        let (program, model) = (self.program, self.model);
+        let n_state = program.n_qubits() + self.n_anc;
+        let path = if bonds.is_some() || offered.iter().any(Backend::is_simulate) {
+            self.gate_path(op)
+        } else {
+            GatePath::Missing
+        };
+        // The χ-growth walk from the state the op receives; head-room
+        // beyond the plan's is fresh |0⟩ ancillas, i.e. product cuts.
+        let walk = match (&bonds, &path, self.mps_cap) {
+            (
+                Some(bonds),
+                GatePath::Circuit {
+                    c,
+                    n_sim,
+                    on_program: true,
+                    ..
+                },
+                Some(cap),
+            ) => {
+                let mut incoming = bonds.to_vec();
+                incoming.resize(n_sim + 1, 1);
+                let est = estimate_mps_cost(c, &incoming, cap);
+                Some((incoming, est))
+            }
             _ => None,
-        },
-        _ => sim.as_ref().and_then(|c| c.for_backend(backend)),
-    };
-    advance_bonds(
+        };
+        let mut fused = None;
+        let (backend, predicted_s) = offered
+            .iter()
+            .map(|&backend| {
+                let cost = match &path {
+                    _ if !backend.is_simulate() => {
+                        emulate_cost(model, program, op, backend, n_state)
+                    }
+                    GatePath::Missing => f64::INFINITY,
+                    GatePath::Analytic(t) => match backend {
+                        Backend::SimulateMps { .. } => f64::INFINITY,
+                        _ => *t,
+                    },
+                    GatePath::Circuit { c, n_sim, .. } => match backend {
+                        Backend::SimulateFused => {
+                            let fc = c.fuse(&FusionPolicy::Greedy {
+                                max_fused_qubits: self.window,
+                            });
+                            let t = model.t_gates_fused(
+                                fc.touched_entries(*n_sim),
+                                c.gate_count(),
+                                fc.ops().len(),
+                            );
+                            fused = Some(fc);
+                            t
+                        }
+                        // Priced with the policy `step_config` executes
+                        // it with, traffic split into streamed and
+                        // in-cache terms; each blocked segment and each
+                        // sweep launches one parallel region.
+                        Backend::SimulateSegmented { block_bits } => {
+                            let seg = segment_circuit(c, block_bits, &FusionPolicy::greedy());
+                            model.t_gates_segmented(
+                                seg.streamed_entries(*n_sim),
+                                seg.incache_entries(*n_sim),
+                                c.gate_count(),
+                                seg.blocked_segments() + seg.sweep_segments(),
+                            )
+                        }
+                        // Only a walk that certifies the whole run, import
+                        // included, exact under the cap prices the
+                        // compressed candidate: an inexact one would
+                        // truncate and fall back dense at execution.
+                        Backend::SimulateMps { max_bond } => match &walk {
+                            Some((incoming, est))
+                                if est.exact && self.mps_cap == Some(max_bond) =>
+                            {
+                                model.t_gates_mps(est.units, incoming)
+                            }
+                            _ => f64::INFINITY,
+                        },
+                        _ => model.t_gates(c.touched_entries(*n_sim), c.gate_count()),
+                    },
+                };
+                (backend, cost)
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("every op is offered a backend");
+        if let Some(bonds) = bonds {
+            advance_bonds(
+                program,
+                op,
+                bonds,
+                walk.as_ref().map(|(_, est)| &est.bonds_out[..]),
+            );
+        }
+        let simulated = backend.is_simulate();
+        let (n_ancilla, circuit) = match path {
+            _ if !simulated => (0, None),
+            // A deferred-build circuit rides along to execution; a raw
+            // run's circuit is the op's own.
+            GatePath::Circuit {
+                c: Cow::Owned(c),
+                n_ancilla,
+                on_program: true,
+                ..
+            } => (n_ancilla, Some(c)),
+            GatePath::Circuit { n_ancilla, .. } => (n_ancilla, None),
+            _ => (0, None),
+        };
+        PlanStep {
+            op_index,
+            op: op_label(program, op),
+            // QPE always runs through `apply_qpe`; a simulated winner is
+            // the explicit gate-level strategy.
+            backend: match op {
+                HighLevelOp::Qpe(_) if simulated => Backend::EmulateQpe {
+                    strategy: QpeStrategy::GateLevel,
+                },
+                _ => backend,
+            },
+            predicted_s,
+            n_ancilla,
+            circuit,
+            fused: fused.filter(|_| backend == Backend::SimulateFused),
+        }
+    }
+}
+
+/// Lowers `program` to an [`ExecutionPlan`]: each op takes the cheapest
+/// of its `candidates` under `model`.
+///
+/// Backend choices couple through ancilla head-room: once any step
+/// simulates an op that needs `a` work qubits, *every* sweep in the run
+/// pays `2^{n+a}` entries. The planner resolves the coupling by fixed
+/// point: lower with the current head-room, recompute the head-room the
+/// chosen steps actually need, re-lower until stable. Choices near a
+/// break-even can oscillate with the head-room (an op may simulate at
+/// width `n` but emulate at `n+1`), so iteration is capped; if no fixed
+/// point is reached, the last choices are committed and re-priced at the
+/// head-room they will *actually* execute with, keeping the
+/// [`PlanReport`] audit consistent. A [`Candidates::Simulated`] plan
+/// reserves every op's head-room up front, so it is stable at once.
+pub fn plan(
+    program: &QuantumProgram,
+    model: &CostModel,
+    config: &SimConfig,
+    candidates: Candidates<'_>,
+) -> ExecutionPlan {
+    let offers = |_: usize, op: &HighLevelOp| candidates.offers(program, model, config, op);
+    let mut lowering = Lowering {
         program,
-        op,
-        bonds,
-        sim.as_ref().and_then(|c| c.bonds_out.as_deref()),
-    );
-    cost.unwrap_or(f64::INFINITY)
+        model,
+        window: plan_window(config),
+        n_anc: match candidates {
+            Candidates::Simulated => program.max_gate_ancillas(),
+            _ => 0,
+        },
+        mps_cap: candidates.mps_cap(config),
+    };
+    let mut plan = lowering.lower(offers);
+    for _ in 0..4 {
+        if plan.n_ancilla == lowering.n_anc {
+            return plan;
+        }
+        lowering.n_anc = plan.n_ancilla;
+        plan = lowering.lower(offers);
+    }
+    if plan.n_ancilla == lowering.n_anc {
+        return plan;
+    }
+    let chosen: Vec<Backend> = plan.steps.iter().map(|s| s.backend).collect();
+    lowering.n_anc = plan.n_ancilla;
+    lowering.lower(|i, _| vec![chosen[i]])
 }
 
 /// Advances the bond bound `bonds` (one entry per cut of the plan's
@@ -998,99 +857,6 @@ fn advance_bonds(
     }
 }
 
-fn plan_hybrid_once(
-    program: &QuantumProgram,
-    model: &CostModel,
-    config: &SimConfig,
-    n_anc_plan: usize,
-) -> ExecutionPlan {
-    let n_state = program.n_qubits() + n_anc_plan;
-    let window = plan_window(config);
-    // Bond bound of the state each op receives: |0…0⟩ before op 0, then
-    // carried through the ops in program order.
-    let mut bonds = vec![1; n_state + 1];
-    let steps = program
-        .ops()
-        .iter()
-        .enumerate()
-        .map(|(i, op)| {
-            let mut candidates: Vec<(Backend, f64, usize)> = Vec::with_capacity(5);
-            if let Some((backend, cost)) = emulate_candidate(model, program, op, n_state) {
-                candidates.push((backend, cost, 0));
-            }
-            // A compressed candidate is priced under the config's policy
-            // cap (`Auto` by default) — `circuit_costs` only surfaces it
-            // when the χ-growth estimate certifies an exact run from the
-            // state this op receives.
-            let sim = sim_costs(
-                model,
-                program,
-                op,
-                window,
-                n_anc_plan,
-                true,
-                true,
-                true,
-                config.mps.max_bond().map(|cap| (cap, &bonds[..])),
-            );
-            advance_bonds(
-                program,
-                op,
-                &mut bonds,
-                sim.as_ref().and_then(|c| c.bonds_out.as_deref()),
-            );
-            if let Some(costs) = &sim {
-                if let Some(cost) = costs.fused {
-                    candidates.push((Backend::SimulateFused, cost, costs.n_ancilla));
-                }
-                if let Some(cost) = costs.unfused {
-                    candidates.push((Backend::SimulateGateLevel, cost, costs.n_ancilla));
-                }
-                if let Some(cost) = costs.segmented {
-                    candidates.push((
-                        Backend::SimulateSegmented {
-                            block_bits: model.block_bits,
-                        },
-                        cost,
-                        costs.n_ancilla,
-                    ));
-                }
-                if let Some((max_bond, cost)) = costs.mps {
-                    candidates.push((Backend::SimulateMps { max_bond }, cost, costs.n_ancilla));
-                }
-            }
-            let (backend, predicted_s, n_ancilla) = candidates
-                .into_iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("every op has at least one backend");
-            // Only a simulated winner gets the costing's built artifacts.
-            let (circuit, fused_circuit) = match (backend.is_simulate(), sim) {
-                (true, Some(costs)) => (costs.circuit, costs.fused_circuit),
-                _ => (None, None),
-            };
-            // QPE always runs through `apply_qpe`; express the simulated
-            // winner as the explicit gate-level strategy.
-            let backend = if matches!(op, HighLevelOp::Qpe(_)) && backend.is_simulate() {
-                Backend::EmulateQpe {
-                    strategy: QpeStrategy::GateLevel,
-                }
-            } else {
-                backend
-            };
-            PlanStep {
-                op_index: i,
-                op: op_label(program, op),
-                backend,
-                predicted_s,
-                n_ancilla,
-                circuit,
-                fused: fused_circuit,
-            }
-        })
-        .collect();
-    ExecutionPlan::from_steps(program, steps)
-}
-
 // ---------------------------------------------------------------------------
 // The one interpreter.
 // ---------------------------------------------------------------------------
@@ -1126,17 +892,37 @@ impl PlanInterpreter {
         plan: &ExecutionPlan,
         initial: StateVector,
     ) -> Result<(StateVector, PlanReport), EmuError> {
+        self.run_steps(program, plan, initial, false)
+    }
+
+    /// The solo step loop: extends the state with the plan's head-room,
+    /// runs and times each step, and truncates the head-room away.
+    ///
+    /// A plan indexes its program's op list and may carry circuits built
+    /// from the program's closures, so it is only valid for the exact
+    /// instance it was lowered from (clones included) — unless
+    /// `any_instance` is set, as on the structure-keyed path of
+    /// [`HybridExecutor::run_structural`](crate::executor::HybridExecutor::run_structural).
+    /// A plan lowered from another instance then runs its closure-bearing
+    /// steps (classical maps, phase oracles, rotations) without the
+    /// carried artifacts, re-deriving them from `program`'s own ops; raw
+    /// gate runs, QFTs and QPE are structurally determined (gate lists are
+    /// hashed bit-exactly) and run as planned.
+    pub(crate) fn run_steps(
+        &self,
+        program: &QuantumProgram,
+        plan: &ExecutionPlan,
+        initial: StateVector,
+        any_instance: bool,
+    ) -> Result<(StateVector, PlanReport), EmuError> {
         if initial.n_qubits() != program.n_qubits() {
             return Err(EmuError::DimensionMismatch {
                 expected: program.n_qubits(),
                 got: initial.n_qubits(),
             });
         }
-        // A plan is only valid for the exact program instance it was
-        // lowered from (clones included): it indexes the op list and may
-        // carry circuits built from the program's closures, so even a
-        // structurally identical rebuild must be re-planned.
-        if plan.program_id != program.instance_id() {
+        let foreign = plan.program_id != program.instance_id();
+        if foreign && !any_instance {
             return Err(EmuError::PlanMismatch {
                 reason: format!(
                     "plan was lowered from program instance {}, got {}",
@@ -1151,7 +937,15 @@ impl PlanInterpreter {
         for step in &plan.steps {
             let op = &program.ops()[step.op_index];
             let t0 = Instant::now();
-            self.execute_step(&mut state, program, op, step)?;
+            let closure_built = matches!(
+                op,
+                HighLevelOp::Classical(_) | HighLevelOp::Phase(_) | HighLevelOp::Rotation(_)
+            );
+            if foreign && closure_built {
+                self.execute_step(&mut state, program, op, &step.stripped())?;
+            } else {
+                self.execute_step(&mut state, program, op, step)?;
+            }
             steps.push(StepReport {
                 op: step.op.clone(),
                 backend: step.backend,
@@ -1167,10 +961,12 @@ impl PlanInterpreter {
     /// interpreter's own fused config (or the default window if the
     /// interpreter is unfused); `SimulateSegmented` runs
     /// [`SimConfig::segmented`] at the block size the step was priced
-    /// with; `SimulateGateLevel` is always unfused. `SimulateMps` maps to
-    /// the default fused config — the *dense* configuration of its
-    /// fallback path, and what backend-agnostic drivers (the batch
-    /// executor) run such a step with when they cannot go compressed.
+    /// with; `SimulateGateLevel` is always unfused. `SimulateMps` runs the
+    /// default fused config under a forced MPS policy at the step's cap:
+    /// `StateVector::run` attempts the compressed run, audits its
+    /// truncation error and re-runs dense on any truncation, so a
+    /// mispredicted χ costs time, never correctness. `BatchStateVector::run`
+    /// ignores the MPS policy and runs such a step dense.
     pub(crate) fn step_config(&self, backend: Backend) -> SimConfig {
         match backend {
             Backend::SimulateFused => match self.config.fusion {
@@ -1181,61 +977,26 @@ impl PlanInterpreter {
                 segments: SegmentPolicy::Blocked { block_bits },
                 ..SimConfig::segmented()
             },
-            Backend::SimulateMps { .. } => SimConfig::fused(DEFAULT_MAX_FUSED_QUBITS),
+            Backend::SimulateMps { max_bond } => SimConfig {
+                mps: MpsPolicy::Forced { max_bond },
+                ..SimConfig::fused(DEFAULT_MAX_FUSED_QUBITS)
+            },
             Backend::SimulateGateLevel => SimConfig::unfused(),
             // Raw-gate steps on an emulated plan inherit the config.
             _ => self.config,
         }
     }
 
-    fn lower<'c>(&self, c: &'c Circuit) -> std::borrow::Cow<'c, Circuit> {
+    fn lower<'c>(&self, c: &'c Circuit) -> Cow<'c, Circuit> {
         if self.elementary {
-            std::borrow::Cow::Owned(qcemu_sim::decompose_circuit(c))
+            Cow::Owned(qcemu_sim::decompose_circuit(c))
         } else {
-            std::borrow::Cow::Borrowed(c)
+            Cow::Borrowed(c)
         }
     }
 
     fn run_circuit(&self, state: &mut StateVector, c: &Circuit, backend: Backend) {
         state.run(&self.lower(c), &self.step_config(backend));
-    }
-
-    /// Attempts compressed execution of a [`Backend::SimulateMps`] step.
-    /// Returns `false` (leaving `state` untouched) when the step is not
-    /// an MPS step *or* when the import or the run truncated: the planner
-    /// only routes here when the χ-growth estimate certified an exact
-    /// run, so a non-zero truncation error means the estimate was wrong
-    /// for this incoming state — the caller then re-runs dense. An import
-    /// that already truncates is rejected before the circuit runs, so a
-    /// misprediction costs at most the wasted compressed attempt, never
-    /// correctness.
-    fn try_mps(&self, state: &mut StateVector, c: &Circuit, backend: Backend) -> bool {
-        let Backend::SimulateMps { max_bond } = backend else {
-            return false;
-        };
-        let mut mps = MpsState::from_statevector(state, max_bond);
-        if mps.truncation_error() > MPS_EXACT_TOL {
-            return false;
-        }
-        mps.run(&self.lower(c));
-        if mps.truncation_error() > MPS_EXACT_TOL {
-            return false;
-        }
-        *state = mps.to_statevector();
-        true
-    }
-
-    /// Applies the fused block stream the planner priced, if the step
-    /// carries one and this interpreter can use it (fused backend, no
-    /// elementary lowering). Returns `true` when the step was handled.
-    fn try_cached_fused(&self, state: &mut StateVector, step: &PlanStep) -> bool {
-        if !self.elementary && step.backend == Backend::SimulateFused {
-            if let Some(fused) = &step.fused {
-                state.apply_fused_circuit(fused);
-                return true;
-            }
-        }
-        false
     }
 
     /// Runs a simulation step, reusing the artifacts the planner built
@@ -1244,25 +1005,16 @@ impl PlanInterpreter {
     /// state-correct), or the deferred-build circuit, falling back to
     /// `build` when the plan carries neither. Elementary lowering always
     /// goes through the raw circuit.
-    fn run_sim_step(
+    fn run_sim_step<'c>(
         &self,
         state: &mut StateVector,
         step: &PlanStep,
-        build: impl FnOnce() -> Circuit,
+        build: impl FnOnce() -> Cow<'c, Circuit>,
     ) {
-        if self.try_cached_fused(state, step) {
-            return;
-        }
-        let built;
-        let c = match &step.circuit {
-            Some(c) => c,
-            None => {
-                built = build();
-                &built
-            }
-        };
-        if !self.try_mps(state, c, step.backend) {
-            self.run_circuit(state, c, step.backend);
+        match (&step.fused, &step.circuit) {
+            (Some(fused), _) if !self.elementary => state.apply_fused_circuit(fused),
+            (_, Some(c)) => self.run_circuit(state, c, step.backend),
+            _ => self.run_circuit(state, &build(), step.backend),
         }
     }
 
@@ -1275,11 +1027,7 @@ impl PlanInterpreter {
     ) -> Result<(), EmuError> {
         let simulate = step.backend.is_simulate();
         match op {
-            HighLevelOp::Gates(c) => {
-                if !self.try_cached_fused(state, step) && !self.try_mps(state, c, step.backend) {
-                    self.run_circuit(state, c, step.backend);
-                }
-            }
+            HighLevelOp::Gates(c) => self.run_sim_step(state, step, || Cow::Borrowed(c)),
             HighLevelOp::Classical(cm) => {
                 if simulate {
                     let gi =
@@ -1288,7 +1036,7 @@ impl PlanInterpreter {
                             .ok_or_else(|| EmuError::NoGateImplementation {
                                 op: cm.name.clone(),
                             })?;
-                    self.run_sim_step(state, step, || (gi.build)(program));
+                    self.run_sim_step(state, step, || Cow::Owned((gi.build)(program)));
                 } else {
                     apply_classical_map(state, program, cm)?;
                 }
@@ -1301,16 +1049,18 @@ impl PlanInterpreter {
                             .ok_or_else(|| EmuError::NoGateImplementation {
                                 op: po.name.clone(),
                             })?;
-                    self.run_sim_step(state, step, || (gi.build)(program));
+                    self.run_sim_step(state, step, || Cow::Owned((gi.build)(program)));
                 } else {
                     apply_phase_oracle(state, program, po);
                 }
             }
             HighLevelOp::Rotation(ro) => {
                 if simulate {
-                    self.run_sim_step(state, step, || match &ro.gate_impl {
-                        Some(gi) => (gi.build)(program),
-                        None => rotation_expansion_circuit(program, ro),
+                    self.run_sim_step(state, step, || {
+                        Cow::Owned(match &ro.gate_impl {
+                            Some(gi) => (gi.build)(program),
+                            None => rotation_expansion_circuit(program, ro),
+                        })
                     });
                 } else {
                     crate::classical::apply_controlled_rotation(state, program, ro);
@@ -1388,6 +1138,7 @@ mod tests {
     use super::*;
     use crate::program::ProgramBuilder;
     use crate::stdops;
+    use qcemu_sim::{MpsState, MPS_EXACT_TOL};
 
     fn model() -> CostModel {
         CostModel::default()
@@ -1409,9 +1160,12 @@ mod tests {
     #[test]
     fn emulated_plan_uses_shortcuts_everywhere() {
         let prog = mixed_program(3);
-        let plan = plan_emulated(&prog, &model(), &SimConfig::unfused(), |_, _| {
-            QpeStrategy::RepeatedSquaring
-        });
+        let plan = super::plan(
+            &prog,
+            &model(),
+            &SimConfig::unfused(),
+            Candidates::Emulated(&|_, _| QpeStrategy::RepeatedSquaring),
+        );
         assert_eq!(plan.steps().len(), prog.ops().len());
         assert_eq!(plan.n_ancilla(), 0);
         assert_eq!(plan.steps()[2].backend, Backend::EmulateClassical);
@@ -1423,10 +1177,15 @@ mod tests {
     #[test]
     fn simulated_plan_reserves_ancillas_and_uses_gates() {
         let prog = mixed_program(3);
-        let plan = plan_simulated(&prog, &model(), &SimConfig::unfused());
+        let plan = super::plan(
+            &prog,
+            &model(),
+            &SimConfig::unfused(),
+            Candidates::Simulated,
+        );
         assert_eq!(plan.n_ancilla(), 1); // multiplier ancilla
         assert!(plan.steps().iter().all(|s| s.backend.is_simulate()));
-        let fused = plan_simulated(&prog, &model(), &SimConfig::fused(4));
+        let fused = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::Simulated);
         assert!(fused
             .steps()
             .iter()
@@ -1436,7 +1195,7 @@ mod tests {
     #[test]
     fn hybrid_plan_dispatches_per_op() {
         let prog = mixed_program(3);
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::All);
         // The classical map always beats its Toffoli network.
         assert_eq!(plan.steps()[2].backend, Backend::EmulateClassical);
         // Raw gates have no shortcut.
@@ -1451,7 +1210,7 @@ mod tests {
         // emulates it, so no head-room is reserved and the whole run
         // stays in the 2^n program space.
         let prog = mixed_program(3);
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::All);
         assert_eq!(plan.n_ancilla(), 0);
     }
 
@@ -1461,7 +1220,7 @@ mod tests {
         let wide = pb.register("wide", 16);
         pb.qft(wide);
         let prog = pb.build().unwrap();
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::All);
         assert_eq!(
             plan.steps()[0].backend,
             Backend::EmulateFft,
@@ -1473,7 +1232,7 @@ mod tests {
         let _pad = pb.register("pad", 14);
         pb.qft(narrow);
         let prog = pb.build().unwrap();
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::All);
         assert!(
             plan.steps()[0].backend.is_simulate(),
             "a 2-bit QFT is 3 gates — cheaper than 2 full FFT passes, got {}",
@@ -1495,7 +1254,7 @@ mod tests {
         pb.gates(|c| c.extend(&qft_circuit(n)));
         let prog = pb.build().unwrap();
         let m = model();
-        let plan = plan_hybrid(&prog, &m, &SimConfig::fused(4));
+        let plan = super::plan(&prog, &m, &SimConfig::fused(4), Candidates::All);
         assert!(
             matches!(plan.steps()[0].backend, Backend::SimulateSegmented { .. }),
             "cache-resident QFT must pick the segment tier, got {}",
@@ -1528,19 +1287,60 @@ mod tests {
     }
 
     #[test]
+    fn fixed_segmented_plans_price_at_the_block_size_they_run() {
+        // A fixed segmented plan executes at the config's block size, so
+        // it must be priced there too, not at the model's.
+        let n = 15;
+        let prog = low_entanglement_program(n, 8);
+        let HighLevelOp::Gates(c) = &prog.ops()[0] else {
+            panic!("op 0 is the gate run");
+        };
+        let m = model();
+        let config = SimConfig {
+            segments: SegmentPolicy::Blocked { block_bits: 10 },
+            ..SimConfig::segmented()
+        };
+        let plan = super::plan(&prog, &m, &config, Candidates::Simulated);
+        assert_eq!(
+            plan.steps()[0].backend,
+            Backend::SimulateSegmented { block_bits: 10 }
+        );
+        let priced_at = |block_bits| {
+            let seg = segment_circuit(c, block_bits, &FusionPolicy::greedy());
+            m.t_gates_segmented(
+                seg.streamed_entries(n),
+                seg.incache_entries(n),
+                c.gate_count(),
+                seg.blocked_segments() + seg.sweep_segments(),
+            )
+        };
+        assert_ne!(m.block_bits, 10);
+        assert_ne!(priced_at(10), priced_at(m.block_bits));
+        assert_eq!(plan.steps()[0].predicted_s, priced_at(10));
+    }
+
+    #[test]
     fn segmented_config_drives_fixed_plans() {
         // A segment-policy interpreter config flips every raw-gate step
         // of the fixed plans onto the segment backend.
         let prog = mixed_program(3);
-        let plan = plan_simulated(&prog, &model(), &SimConfig::segmented());
+        let plan = super::plan(
+            &prog,
+            &model(),
+            &SimConfig::segmented(),
+            Candidates::Simulated,
+        );
         assert!(matches!(
             plan.steps()[0].backend,
             Backend::SimulateSegmented { .. }
         ));
         assert!(plan.steps()[0].predicted_s.is_finite());
-        let emu = plan_emulated(&prog, &model(), &SimConfig::segmented(), |_, _| {
-            QpeStrategy::RepeatedSquaring
-        });
+        let emu = super::plan(
+            &prog,
+            &model(),
+            &SimConfig::segmented(),
+            Candidates::Emulated(&|_, _| QpeStrategy::RepeatedSquaring),
+        );
         assert!(matches!(
             emu.steps()[0].backend,
             Backend::SimulateSegmented { .. }
@@ -1582,9 +1382,12 @@ mod tests {
     /// returns the hybrid report after checking the states agree.
     fn assert_executes_like_emulator(prog: &QuantumProgram, plan: &ExecutionPlan) -> PlanReport {
         let initial = StateVector::zero_state(prog.n_qubits());
-        let emu_plan = plan_emulated(prog, &model(), &SimConfig::unfused(), |_, _| {
-            QpeStrategy::RepeatedSquaring
-        });
+        let emu_plan = super::plan(
+            prog,
+            &model(),
+            &SimConfig::unfused(),
+            Candidates::Emulated(&|_, _| QpeStrategy::RepeatedSquaring),
+        );
         let interp = PlanInterpreter::default();
         let (emu, _) = interp.execute(prog, &emu_plan, initial.clone()).unwrap();
         let (got, report) = interp.execute(prog, plan, initial).unwrap();
@@ -1601,7 +1404,7 @@ mod tests {
         let n = 14;
         let prog = low_entanglement_program(n, 80);
         let m = model();
-        let plan = plan_hybrid(&prog, &m, &SimConfig::fused(4));
+        let plan = super::plan(&prog, &m, &SimConfig::fused(4), Candidates::All);
         assert!(
             matches!(plan.steps()[0].backend, Backend::SimulateMps { .. }),
             "deep χ=2 chain must pick the compressed tier, got {}",
@@ -1609,9 +1412,9 @@ mod tests {
         );
         // The hybrid choice must not be slower than either fixed dense plan.
         for fixed in [
-            plan_simulated(&prog, &m, &SimConfig::fused(4)),
-            plan_simulated(&prog, &m, &SimConfig::segmented()),
-            plan_simulated(&prog, &m, &SimConfig::unfused()),
+            super::plan(&prog, &m, &SimConfig::fused(4), Candidates::Simulated),
+            super::plan(&prog, &m, &SimConfig::segmented(), Candidates::Simulated),
+            super::plan(&prog, &m, &SimConfig::unfused(), Candidates::Simulated),
         ] {
             assert!(
                 plan.steps()[0].predicted_s <= fixed.steps()[0].predicted_s,
@@ -1631,7 +1434,7 @@ mod tests {
             report.steps[0].backend,
             Backend::SimulateMps { .. }
         ));
-        let reference_plan = plan_simulated(&prog, &m, &SimConfig::unfused());
+        let reference_plan = super::plan(&prog, &m, &SimConfig::unfused(), Candidates::Simulated);
         let (dense_state, _) = PlanInterpreter::default()
             .execute(&prog, &reference_plan, initial)
             .unwrap();
@@ -1646,7 +1449,7 @@ mod tests {
         let n = 14;
         let prog = low_entanglement_program(n, 80);
         let m = model();
-        let plan = plan_hybrid(&prog, &m, &SimConfig::fused(4));
+        let plan = super::plan(&prog, &m, &SimConfig::fused(4), Candidates::All);
         assert_eq!(
             plan.steps()[0].backend,
             Backend::SimulateMps {
@@ -1670,7 +1473,7 @@ mod tests {
         pb.hadamard_all(r);
         push_low_entanglement_chain(&mut pb, n, 80);
         let prog = pb.build().unwrap();
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::All);
         assert!(
             matches!(plan.steps()[1].backend, Backend::SimulateMps { .. }),
             "a Hadamard layer leaves a product state; got {}",
@@ -1683,14 +1486,13 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn entangling_op_withholds_mps_from_the_ops_after_it() {
-        // Shor-shaped: superposed x, constant y, z = x·y, a chain run on
-        // every qubit and an oracle on z. Priced from a product input the
-        // chain certifies at χ ≤ 8 and wins; from the state the multiply
-        // actually leaves (χ up to 2^5 across the middle cuts) it would
-        // truncate under χ ≤ 64, and the oracle then receives a state
-        // whose import alone would.
+    /// Shor-shaped: superposed x, constant y, z = x·y, a chain run on
+    /// every qubit (op 3) and an oracle on z (op 4). Priced from a product
+    /// input the chain certifies at χ ≤ 8; from the state the multiply
+    /// actually leaves (χ up to 2^5 across the middle cuts) it would
+    /// truncate under χ ≤ 64, and the oracle then receives a state whose
+    /// import alone would.
+    fn entangling_program() -> QuantumProgram {
         let m = 5;
         let n = 3 * m;
         let mut pb = ProgramBuilder::new();
@@ -1710,9 +1512,13 @@ mod tests {
             }
         });
         pb.phase_oracle(stdops::mark_value(z, 7, std::f64::consts::PI));
-        let prog = pb.build().unwrap();
+        pb.build().unwrap()
+    }
 
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+    #[test]
+    fn entangling_op_withholds_mps_from_the_ops_after_it() {
+        let prog = entangling_program();
+        let plan = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::All);
         for step in &plan.steps()[3..] {
             assert!(
                 !matches!(step.backend, Backend::SimulateMps { .. }),
@@ -1725,11 +1531,30 @@ mod tests {
     }
 
     #[test]
+    fn fixed_forced_mps_plans_certify_against_the_state_they_receive() {
+        // The fixed gate-level plan carries the bond bound through the
+        // simulated multiply, so the chain after it cannot certify under
+        // χ ≤ 64 and prices ∞. Pricing only: executing forced compressed
+        // attempts on this program is slow, and the dense fallback is
+        // covered by `forced_mps_on_entangling_circuit_falls_back_dense_correct`.
+        let prog = entangling_program();
+        let plan = super::plan(&prog, &model(), &SimConfig::mps(64), Candidates::Simulated);
+        assert!(matches!(prog.ops()[3], HighLevelOp::Gates(_)));
+        assert_eq!(
+            plan.steps()[3].backend,
+            Backend::SimulateMps { max_bond: 64 }
+        );
+        assert_eq!(plan.steps()[3].predicted_s, f64::INFINITY);
+        // The run before the multiply still certifies from |0…0⟩.
+        assert!(plan.steps()[1].predicted_s.is_finite());
+    }
+
+    #[test]
     fn forced_mps_config_drives_fixed_plans() {
         // A forced MPS policy flips every raw-gate step of the fixed
         // plans onto the compressed backend, carrying the configured cap.
         let prog = low_entanglement_program(8, 4);
-        let plan = plan_simulated(&prog, &model(), &SimConfig::mps(32));
+        let plan = super::plan(&prog, &model(), &SimConfig::mps(32), Candidates::Simulated);
         assert!(matches!(
             plan.steps()[0].backend,
             Backend::SimulateMps { max_bond: 32 }
@@ -1739,7 +1564,12 @@ mod tests {
         let (state, _) = PlanInterpreter::default()
             .execute(&prog, &plan, initial.clone())
             .unwrap();
-        let reference_plan = plan_simulated(&prog, &model(), &SimConfig::unfused());
+        let reference_plan = super::plan(
+            &prog,
+            &model(),
+            &SimConfig::unfused(),
+            Candidates::Simulated,
+        );
         let (dense_state, _) = PlanInterpreter::default()
             .execute(&prog, &reference_plan, initial)
             .unwrap();
@@ -1757,7 +1587,7 @@ mod tests {
         let _r = pb.register("r", n);
         pb.gates(move |c| c.extend(&qft_circuit(n)));
         let prog = pb.build().unwrap();
-        let plan = plan_simulated(&prog, &model(), &SimConfig::mps(2));
+        let plan = super::plan(&prog, &model(), &SimConfig::mps(2), Candidates::Simulated);
         assert!(matches!(
             plan.steps()[0].backend,
             Backend::SimulateMps { max_bond: 2 }
@@ -1785,7 +1615,7 @@ mod tests {
         let _r = pb.register("r", n);
         pb.gates(|c| c.push(Gate::ry(4, 0.3)));
         let prog = pb.build().unwrap();
-        let plan = plan_simulated(&prog, &model(), &SimConfig::mps(2));
+        let plan = super::plan(&prog, &model(), &SimConfig::mps(2), Candidates::Simulated);
         let mut initial = StateVector::zero_state(n);
         for (a, b) in [(1, 4), (2, 3)] {
             initial.apply(&Gate::h(a));
@@ -1806,9 +1636,14 @@ mod tests {
         let a = pb.register("a", 3);
         pb.classical(stdops::apply_classical_fn("xor3", vec![a], |v| v[0] ^= 3));
         let prog = pb.build().unwrap();
-        let hybrid = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let hybrid = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::All);
         assert_eq!(hybrid.steps()[0].backend, Backend::EmulateClassical);
-        let sim = plan_simulated(&prog, &model(), &SimConfig::unfused());
+        let sim = super::plan(
+            &prog,
+            &model(),
+            &SimConfig::unfused(),
+            Candidates::Simulated,
+        );
         assert!(sim.steps()[0].predicted_s.is_infinite());
     }
 
@@ -1817,15 +1652,20 @@ mod tests {
         let prog = mixed_program(2);
         let initial = StateVector::zero_state(prog.n_qubits());
         let m = model();
-        let emu_plan = plan_emulated(&prog, &m, &SimConfig::unfused(), |t, p| {
-            if p > 2 * t {
-                QpeStrategy::Eigendecomposition
-            } else {
-                QpeStrategy::RepeatedSquaring
-            }
-        });
-        let sim_plan = plan_simulated(&prog, &m, &SimConfig::unfused());
-        let hyb_plan = plan_hybrid(&prog, &m, &SimConfig::fused(4));
+        let emu_plan = super::plan(
+            &prog,
+            &m,
+            &SimConfig::unfused(),
+            Candidates::Emulated(&|t, p| {
+                if p > 2 * t {
+                    QpeStrategy::Eigendecomposition
+                } else {
+                    QpeStrategy::RepeatedSquaring
+                }
+            }),
+        );
+        let sim_plan = super::plan(&prog, &m, &SimConfig::unfused(), Candidates::Simulated);
+        let hyb_plan = super::plan(&prog, &m, &SimConfig::fused(4), Candidates::All);
         let interp = PlanInterpreter::default();
         let (emu, _) = interp.execute(&prog, &emu_plan, initial.clone()).unwrap();
         let (sim, _) = interp.execute(&prog, &sim_plan, initial.clone()).unwrap();
@@ -1863,7 +1703,7 @@ mod tests {
         let a = pb.register("a", prog_a.n_qubits());
         pb.qft(a);
         let prog_b = pb.build().unwrap();
-        let plan = plan_hybrid(&prog_a, &model(), &SimConfig::fused(4));
+        let plan = super::plan(&prog_a, &model(), &SimConfig::fused(4), Candidates::All);
         let err = PlanInterpreter::default()
             .execute(&prog_b, &plan, StateVector::zero_state(prog_b.n_qubits()))
             .unwrap_err();
@@ -1873,7 +1713,7 @@ mod tests {
     #[test]
     fn plan_display_lists_every_step() {
         let prog = mixed_program(2);
-        let plan = plan_hybrid(&prog, &model(), &SimConfig::fused(4));
+        let plan = super::plan(&prog, &model(), &SimConfig::fused(4), Candidates::All);
         let rendered = plan.to_string();
         for step in plan.steps() {
             assert!(rendered.contains(&step.op), "missing {}", step.op);

@@ -78,7 +78,7 @@ pub struct ClassicalMap {
     /// Registers the map reads/writes.
     pub regs: Vec<RegisterId>,
     /// The function itself.
-    pub f: Arc<dyn Fn(&mut [u64]) + Send + Sync>,
+    pub f: RegisterMapFn,
     /// Reversibility contract.
     pub kind: MapKind,
     /// Optional reversible gate-level implementation.
@@ -95,6 +95,14 @@ impl fmt::Debug for ClassicalMap {
             .finish()
     }
 }
+
+/// A classical function over register values: receives the values of a
+/// [`ClassicalMap`]'s registers (in order) and overwrites them.
+pub type RegisterMapFn = Arc<dyn Fn(&mut [u64]) + Send + Sync>;
+
+/// A predicate over register values, in a [`PhaseOracle`]'s register
+/// order.
+pub type RegisterPredicate = Arc<dyn Fn(&[u64]) -> bool + Send + Sync>;
 
 /// A reversible gate-level implementation of a classical map.
 ///
@@ -133,7 +141,7 @@ pub struct PhaseOracle {
     /// Registers the predicate reads.
     pub regs: Vec<RegisterId>,
     /// The predicate over register values (in `regs` order).
-    pub predicate: Arc<dyn Fn(&[u64]) -> bool + Send + Sync>,
+    pub predicate: RegisterPredicate,
     /// Phase angle θ (π = the Grover sign flip).
     pub phase: f64,
     /// Optional gate-level implementation.
